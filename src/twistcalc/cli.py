@@ -15,7 +15,8 @@ import argparse
 import os
 import sys
 
-from .exprparse import ParseError, build_twist, load_config, parse_expr, standard_env
+from .exprparse import (ParseError, _as_function, build_twist, load_config, parse_expr,
+                        standard_env)
 from .hyperboloid import HyperboloidModel, hyperboloid_suite
 from .hopf_checks import hopf_axiom_report
 from .reports import Report
@@ -170,13 +171,8 @@ def cmd_star(args):
     model = _Model(args)
     calc = model.calculus()
     env = model.env()
-    f = parse_expr(args.left, env)
-    g = parse_expr(args.right, env)
-    from .geometry import PolyFunction
-    if not isinstance(f, PolyFunction):
-        f = model.chart.constant(model.ctx.scalar(f))
-    if not isinstance(g, PolyFunction):
-        g = model.chart.constant(model.ctx.scalar(g))
+    f = _as_function(parse_expr(args.left, env), model.chart)
+    g = _as_function(parse_expr(args.right, env), model.chart)
     return _print_value(args, calc.star(f, g))
 
 

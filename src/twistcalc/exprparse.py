@@ -202,15 +202,19 @@ def _mul(a, b):
 def _div(a, b, pos=None):
     if isinstance(b, (PolyFunction, PBWElement, TensorElement)):
         raise ParseError("division only by scalars or series", pos)
-    if isinstance(a, int) and isinstance(b, int):
-        return Fraction(a, b)
-    if isinstance(a, (PolyFunction,)):
-        return a * _invert(b, pos)
-    if isinstance(a, (PBWElement, TensorElement)):
-        return a.scale(_invert(b, pos))
-    if isinstance(a, int):
-        a = Fraction(a)
-    out = a / b
+    try:
+        if isinstance(a, int) and isinstance(b, int):
+            return Fraction(a, b)
+        if isinstance(a, (PolyFunction,)):
+            return a * _invert(b, pos)
+        if isinstance(a, (PBWElement, TensorElement)):
+            return a.scale(_invert(b, pos))
+        if isinstance(a, int):
+            a = Fraction(a)
+        out = a / b
+    except ZeroDivisionError as exc:
+        raise ParseError("division by zero or by a series with zero constant term",
+                         pos) from exc
     if out is NotImplemented:
         raise ParseError("cannot divide %s by %s"
                          % (type(a).__name__, type(b).__name__), pos)
@@ -234,7 +238,11 @@ def _pow(a, n, pos=None):
         a = Fraction(a)
     if n < 0 and not isinstance(a, (Fraction, Scalar, HbarSeries)):
         raise ParseError("negative powers only for scalars and series", pos)
-    out = a ** n
+    try:
+        out = a ** n
+    except ZeroDivisionError as exc:
+        raise ParseError("negative power of zero or of a series with zero constant "
+                         "term", pos) from exc
     if out is NotImplemented:
         raise ParseError("cannot exponentiate %s" % type(a).__name__, pos)
     return out

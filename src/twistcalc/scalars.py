@@ -2,17 +2,28 @@
 
 The scalar field is Q(i) extended by a finite set of commuting parameters
 (say a, c) and declared square-root symbols with defining relations such as
-sqrt(a)^2 = a.  Every value is a reduced fraction of multivariate polynomials
-with Gaussian-rational coefficients; radicals are rewritten away from
-denominators and kept at exponent <= 1 everywhere, which makes the normal
-form unique and equality decidable.  There is no floating point anywhere.
+sqrt(a)^2 = a.  Every value has a unique normal form, so equality is
+decidable, and there is no floating point anywhere.
+
+A constant, the common case in Hopf-algebra computations, is a Gaussian
+rational (re + im*i)/den held as a triple of Python ints with den > 0 and
+gcd(re, im, den) = 1, and its arithmetic is integer arithmetic.  Any other
+value is a reduced fraction of multivariate polynomials over sympy's QQ_I in
+the parameters and radicals: radicals are rewritten away from denominators
+and kept at exponent <= 1 everywhere, and the denominator is monic and
+coprime to the numerator.  A fraction that reduces to a constant is always
+stored as a triple.  Context rejects radicals under which this would not be
+a field: no radicand, nor a product of several, may be a square.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
+from math import gcd, isqrt
+from operator import sub
 
-from sympy.polys.domains import QQ_I
+from sympy.polys.domains import QQ, QQ_I
 from sympy.polys.rings import ring as _sparse_ring
 
 
@@ -37,7 +48,10 @@ class Context:
     radicals maps a display name like "sqrt(a)" to the polynomial its square
     equals.  The defining polynomial may be given as a parameter name, an
     integer, or a list of (coefficient, {param: exponent}) terms; it may only
-    involve parameters, never other radicals.
+    involve parameters, never other radicals.  No defining polynomial, nor
+    the product of several, may be a square in Q(i)[params] (zero included):
+    its square root would already be in the field, and the scalars would
+    have zero divisors.
     """
 
     def __init__(self, params=(), radicals=None, order=4):
@@ -62,9 +76,10 @@ class Context:
         for k, (rname, defining) in enumerate(radicals.items()):
             idx = len(self.params) + k
             self._radical_index[idx] = self._defining_poly(defining, rname)
-        self._zero = Scalar(self, QQ_I.zero, None, None)
-        self._one = Scalar(self, QQ_I.one, None, None)
-        self._i = Scalar(self, QQ_I.dtype(0, 1), None, None)
+        self._check_radicals()
+        self._zero = Scalar(self, _ZERO, None, None)
+        self._one = Scalar(self, _ONE, None, None)
+        self._i = Scalar(self, (0, 1, 1), None, None)
         self._series_one = self.series([1])
         self._series_zero = self.series([])
 
@@ -89,6 +104,21 @@ class Context:
                 raise ValueError("radical %s: defining polynomial may only use parameters" % rname)
         return poly
 
+    def _check_radicals(self):
+        defining = list(zip(self.radical_names, self._radical_index.values()))
+        for k in range(1, len(defining) + 1):
+            for subset in combinations(defining, k):
+                prod = self._ring.one
+                for _, poly in subset:
+                    prod *= poly
+                if _is_square(prod):
+                    names = ", ".join(n for n, _ in subset)
+                    what = ("radical %s: radicand" % names if k == 1
+                            else "radicals %s: product of radicands" % names)
+                    raise ValueError("%s %s is a square in Q(i)[params], so the "
+                                     "radicals do not extend the field"
+                                     % (what, _poly_text(self, prod)))
+
     # -- scalar constructors -------------------------------------------------
 
     @property
@@ -104,7 +134,8 @@ class Context:
         return self._i
 
     def rational(self, p, q=1):
-        return Scalar(self, QQ_I.convert(Fraction(p, q)), None, None)
+        f = Fraction(p, q)
+        return Scalar(self, (f.numerator, 0, f.denominator), None, None)
 
     def scalar(self, value):
         """Coerce an int, Fraction or Scalar into this context."""
@@ -112,8 +143,10 @@ class Context:
             if value.ctx is not self:
                 raise ValueError("scalar from a different context")
             return value
-        if isinstance(value, (int, Fraction)):
-            return Scalar(self, QQ_I.convert(Fraction(value)), None, None)
+        if isinstance(value, int):
+            return Scalar(self, (value, 0, 1), None, None)
+        if isinstance(value, Fraction):
+            return Scalar(self, (value.numerator, 0, value.denominator), None, None)
         raise TypeError("cannot coerce %r to Scalar" % (value,))
 
     def param(self, name):
@@ -141,8 +174,7 @@ class Context:
 
     def series(self, coeffs, order=None):
         order = self.order if order is None else order
-        cs = [self.scalar(c) if not isinstance(c, Scalar) else self.scalar(c)
-              for c in list(coeffs)[: order + 1]]
+        cs = [self.scalar(c) for c in list(coeffs)[: order + 1]]
         cs += [self._zero] * (order + 1 - len(cs))
         return HbarSeries(self, order, tuple(cs))
 
@@ -183,21 +215,79 @@ class Context:
         return out
 
 
-_conj_cache = {}
+# -- Gaussian rationals as normalised int triples (re, im, den) ---------------
+
+_ZERO = (0, 0, 1)
+_ONE = (1, 0, 1)
+
+
+def _gauss(re, im, den):
+    """The triple of (re + im*i)/den, for den > 0."""
+    g = gcd(re, im, den)
+    if g != 1:
+        return (re // g, im // g, den // g)
+    return (re, im, den)
+
+
+def _to_qqi(g):
+    re, im, den = g
+    return QQ_I.dtype.new(QQ.dtype(re, den), QQ.dtype(im, den))
+
+
+def _from_qqi(c):
+    dx, dy = c.x.denominator, c.y.denominator
+    return _gauss(c.x.numerator * dy, c.y.numerator * dx, dx * dy)
 
 
 def _gconj(g):
     return QQ_I.dtype(g.x, -g.y)
 
 
+def _rational_sqrt(q):
+    """sqrt(q) for a Fraction q >= 0 if it is rational, else None."""
+    n, d = isqrt(q.numerator), isqrt(q.denominator)
+    return Fraction(n, d) if n * n == q.numerator and d * d == q.denominator else None
+
+
+def _is_square(poly):
+    """Whether poly is a square in Q(i)[params]; zero counts as one.
+
+    By unique factorisation poly is a square iff every irreducible factor has
+    even multiplicity and the leftover constant p + q*i is a square in Q(i),
+    which holds iff r = sqrt(p^2 + q^2), (r + p)/2 and (r - p)/2 are all
+    rational squares (then p + q*i = (x + y*i)^2 with x^2, y^2 the latter two).
+    """
+    if not poly:
+        return True
+    content, factors = poly.factor_list()
+    if any(m % 2 for _, m in factors):
+        return False
+    re, im, den = _from_qqi(content)
+    p, q = Fraction(re, den), Fraction(im, den)
+    r = _rational_sqrt(p * p + q * q)
+    return (r is not None and _rational_sqrt((r + p) / 2) is not None
+            and _rational_sqrt((r - p) / 2) is not None)
+
+
 class Scalar:
     """Element of the exact coefficient field, in unique normal form.
 
-    Two internal tiers: a bare Gaussian rational for constants (the common
-    case in Hopf-algebra computations) and a reduced numerator/denominator
-    pair of multivariate polynomials otherwise.  The denominator is monic,
-    radical-free and coprime to the numerator, so equal values have equal
-    representations.
+    Two tiers.  A constant has _g = (re, im, den), the normalised int triple
+    of (re + im*i)/den, and _n = _d = None.  Any other value has _g = None and
+    the reduced pair _n/_d of QQ_I polynomials: the denominator is monic,
+    radical-free and coprime to the numerator, and not both are ground.
+    Equal values therefore have equal representations.
+
+    Reduction (_pair) needs gcd(_n, _d), computed by sympy's multivariate gcd.
+    When the denominator is a single term c*x^e, as with denominators a or
+    a^2, it skips that gcd: the divisors of x^e are the monomials x^k with
+    k <= e, so the gcd is x^m with m the least exponents over x^e and every
+    term of the numerator, and dividing it out by exponent arithmetic leaves
+    a coprime pair.  Two coprime pairs for one value differ by a constant
+    factor, and a monic denominator fixes it, so this is the pair the gcd
+    path gives.  For the same reason a constant c meeting n/d needs no
+    reduction at all: (n + c*d)/d and (c*n)/d are again coprime over the
+    same monic d, and neither is a constant.
     """
 
     __slots__ = ("ctx", "_g", "_n", "_d", "_hash")
@@ -225,35 +315,28 @@ class Scalar:
                 den = ctx._reduce_radicals(den * conj)
         if not num:
             return ctx._zero
-        if den.is_ground:
-            lc = den.LC
-            if lc != QQ_I.one:
-                num = num.quo_ground(lc)
-            if num.is_ground:
-                return Scalar(ctx, num.LC, None, None)
-            return Scalar(ctx, None, num, ring.one)
-        g = num.gcd(den)
-        if not (g.is_ground and g.LC == QQ_I.one):
-            num = num.exquo(g)
-            den = den.exquo(g)
-        if den.is_ground:
-            lc = den.LC
-            if lc != QQ_I.one:
-                num = num.quo_ground(lc)
-            if num.is_ground:
-                return Scalar(ctx, num.LC, None, None)
-            return Scalar(ctx, None, num, ring.one)
-        lc = den.LC
-        if lc != QQ_I.one:
+        if len(den) == 1:
+            # den = lc*x^e: gcd(num, den) = x^m, cancelled by exponent arithmetic
+            (e, lc), = den.items()
+            m = tuple(map(min, e, *num.itermonoms()))
+            if any(m):
+                num = num.new([(tuple(map(sub, k, m)), v) for k, v in num.items()])
+                e = tuple(map(sub, e, m))
             num = num.quo_ground(lc)
-            den = den.monic()
-        return Scalar(ctx, None, num, den)
-
-    def _promote(self):
-        """Numerator/denominator view regardless of tier."""
-        if self._g is not None:
-            return self.ctx._ring.ground_new(self._g), self.ctx._ring.one
-        return self._n, self._d
+            if any(e):
+                return Scalar(ctx, None, num, num.new([(e, QQ_I.one)]))
+        else:
+            g = num.gcd(den)
+            if not (g.is_ground and g.LC == QQ_I.one):
+                num = num.exquo(g)
+                den = den.exquo(g)
+            lc = den.LC
+            num = num.quo_ground(lc)
+            if not den.is_ground:
+                return Scalar(ctx, None, num, den.monic())
+        if num.is_ground:
+            return Scalar(ctx, _from_qqi(num.LC), None, None)
+        return Scalar(ctx, None, num, ring.one)
 
     def _coerce(self, other):
         if isinstance(other, Scalar):
@@ -268,11 +351,11 @@ class Scalar:
 
     @property
     def is_zero(self):
-        return self._g is not None and not self._g
+        return self._g == _ZERO
 
     @property
     def is_one(self):
-        return self._g is not None and self._g == QQ_I.one
+        return self._g == _ONE
 
     @property
     def is_constant(self):
@@ -285,16 +368,25 @@ class Scalar:
         if o is None:
             return NotImplemented
         if self._g is not None and o._g is not None:
-            return Scalar(self.ctx, self._g + o._g, None, None)
-        n1, d1 = self._promote()
-        n2, d2 = o._promote()
+            a, b, d = self._g
+            c, e, f = o._g
+            if d == f:
+                return Scalar(self.ctx, _gauss(a + c, b + e, d), None, None)
+            return Scalar(self.ctx, _gauss(a * f + c * d, b * f + e * d, d * f), None, None)
+        if self._g is not None or o._g is not None:
+            c, p = (self, o) if self._g is not None else (o, self)
+            if c.is_zero:
+                return p
+            return Scalar(self.ctx, None, p._n + p._d.mul_ground(_to_qqi(c._g)), p._d)
+        n1, d1, n2, d2 = self._n, self._d, o._n, o._d
         return Scalar._pair(self.ctx, n1 * d2 + n2 * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __neg__(self):
         if self._g is not None:
-            return Scalar(self.ctx, -self._g, None, None)
+            a, b, d = self._g
+            return Scalar(self.ctx, (-a, -b, d), None, None)
         return Scalar(self.ctx, None, -self._n, self._d)
 
     def __sub__(self, other):
@@ -314,12 +406,15 @@ class Scalar:
         if o is None:
             return NotImplemented
         if self._g is not None and o._g is not None:
-            return Scalar(self.ctx, self._g * o._g, None, None)
+            a, b, d = self._g
+            c, e, f = o._g
+            return Scalar(self.ctx, _gauss(a * c - b * e, a * e + b * c, d * f), None, None)
         if self.is_zero or o.is_zero:
             return self.ctx._zero
-        n1, d1 = self._promote()
-        n2, d2 = o._promote()
-        return Scalar._pair(self.ctx, n1 * n2, d1 * d2)
+        if self._g is not None or o._g is not None:
+            c, p = (self, o) if self._g is not None else (o, self)
+            return Scalar(self.ctx, None, p._n.mul_ground(_to_qqi(c._g)), p._d)
+        return Scalar._pair(self.ctx, self._n * o._n, self._d * o._d)
 
     __rmul__ = __mul__
 
@@ -327,7 +422,8 @@ class Scalar:
         if self.is_zero:
             raise NonUnitError("inverse of zero scalar")
         if self._g is not None:
-            return Scalar(self.ctx, QQ_I.one / self._g, None, None)
+            a, b, d = self._g
+            return Scalar(self.ctx, _gauss(a * d, -b * d, a * a + b * b), None, None)
         return Scalar._pair(self.ctx, self._d, self._n)
 
     def __truediv__(self, other):
@@ -359,7 +455,8 @@ class Scalar:
     def conjugate(self):
         """Complex conjugation: i -> -i; parameters and radicals are real."""
         if self._g is not None:
-            return Scalar(self.ctx, _gconj(self._g), None, None)
+            a, b, d = self._g
+            return Scalar(self.ctx, (a, -b, d), None, None)
         conj = self.ctx._ring.from_terms(
             [(m, _gconj(c)) for m, c in self._n.terms()])
         conj_d = self.ctx._ring.from_terms(
@@ -385,7 +482,7 @@ class Scalar:
         # the raw term data of the (immutable) normal form instead.
         if self._hash is None:
             if self._g is not None:
-                self._hash = hash(("g", self._g.x, self._g.y))
+                self._hash = hash(self._g)
             else:
                 self._hash = hash((
                     frozenset((m, cf.x, cf.y) for m, cf in self._n.terms()),
@@ -395,7 +492,10 @@ class Scalar:
     # -- printing ---------------------------------------------------------------
 
     def to_text(self):
-        num, den = self._promote()
+        if self._g is not None:
+            text, composite = _gauss_text(self._g)
+            return "(" + text + ")" if composite else text
+        num, den = self._n, self._d
         ntext = _poly_text(self.ctx, num)
         if den == self.ctx._ring.one:
             return ntext
@@ -413,7 +513,7 @@ class Scalar:
 
 
 def _gauss_text(g):
-    re, im = Fraction(g.x.numerator, g.x.denominator), Fraction(g.y.numerator, g.y.denominator)
+    re, im = Fraction(g[0], g[2]), Fraction(g[1], g[2])
     def frac(q):
         return str(q.numerator) if q.denominator == 1 else "%d/%d" % (q.numerator, q.denominator)
     if im == 0:
@@ -441,7 +541,7 @@ def _poly_text(ctx, poly):
                 continue
             name = ctx._display[ctx._ring.symbols[k].name]
             factors.append(name if e == 1 else "%s^%d" % (name, e))
-        ctext, composite = _gauss_text(coeff)
+        ctext, composite = _gauss_text(_from_qqi(coeff))
         if not factors:
             term = "(" + ctext + ")" if composite else ctext
         elif ctext == "1":

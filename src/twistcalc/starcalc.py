@@ -283,38 +283,6 @@ class TwistedCalculus:
         return rep
 
 
-# -- module-level conveniences matching the operation map ----------------------------
-
-
-def star(real, twist, f, g):
-    return TwistedCalculus(real, twist).star(f, g)
-
-
-def twisted_wedge(real, twist, aa, bb):
-    return TwistedCalculus(real, twist).wedge(aa, bb)
-
-
-def twisted_schouten(real, twist, x, y):
-    return TwistedCalculus(real, twist).schouten(x, y)
-
-
-def twisted_cartan(real, twist, kind, x, omega):
-    calc = TwistedCalculus(real, twist)
-    if kind == "L":
-        return calc.lie(x, omega)
-    if kind == "i":
-        return calc.insert(x, omega)
-    raise ValueError("kind must be 'L' or 'i'")
-
-
-def twisted_involution(real, twist, obj):
-    return TwistedCalculus(real, twist).involution(obj)
-
-
-def cartan_report(real, twist, samples=None):
-    return TwistedCalculus(real, twist).cartan_report(samples)
-
-
 # -- constant Poisson structures and the Moyal-Weyl product ---------------------------
 
 

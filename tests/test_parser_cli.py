@@ -195,6 +195,22 @@ def test_cli_usage_error_exit_2(capsys):
     capsys.readouterr()
 
 
+def test_cli_bad_operands_exit_2(capsys):
+    assert main(["star", "1/0", "x1"]) == 2
+    assert main(["star", "sqrt(a)", "Ep"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 2
+    assert all(line.startswith("error: ") for line in err)
+
+
+def test_cli_dependent_radicals_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "radicals.cfg"
+    cfg.write_text("[scalars]\nparams: a\nradical: sqrt(a)^2 = a\nradical: sqrt(b)^2 = a\n")
+    assert main(["verify-twist", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "square" in err[0]
+
+
 def test_cli_kv_format(capsys):
     assert main(["verify-twist", "--format", "kv"]) == 0
     out = capsys.readouterr().out

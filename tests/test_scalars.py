@@ -1,11 +1,12 @@
 """Exact scalar field and truncated series arithmetic."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from twistcalc import NonUnitError, TruncationMismatch
+from twistcalc import Context, NonUnitError, TruncationMismatch
 
 
 def rand_scalar(ctx, rng, depth=2):
@@ -46,6 +47,100 @@ def test_fraction_cancellation_is_canonical(ctx):
     a, c = ctx.param("a"), ctx.param("c")
     assert (a * a - c * c) / (a - c) == a + c
     assert hash((a * a - c * c) / (a - c)) == hash(a + c)
+
+
+def test_constant_normal_form(ctx):
+    half = ctx.scalar(Fraction(1, 2))
+    assert ctx.scalar(Fraction(2, 4)) == half
+    assert hash(ctx.scalar(Fraction(2, 4))) == hash(half)
+    assert ctx.rational(1, -2) == ctx.rational(-1, 2) == -half
+    assert hash(ctx.rational(1, -2)) == hash(-half)
+    assert ctx.rational(1, -2).to_text() == "-1/2"
+    i = ctx.i
+    assert i / (1 + i) == (1 + i) / 2
+    assert hash(i / (1 + i)) == hash((1 + i) / 2)
+    z = 3 - 4 * i
+    assert z.inverse() * z == ctx.one
+    assert z.inverse() == (3 + 4 * i) / 25
+
+
+def test_parametric_path_reaches_constant_normal_form(ctx):
+    a, c = ctx.param("a"), ctx.param("c")
+    for value in (a / a, (a * c) / (c * a), (a + c) - (c + a) + 1):
+        assert value.is_constant
+        assert value == ctx.one
+        assert hash(value) == hash(ctx.one)
+    assert ((a - ctx.i) / (a - ctx.i)) * ctx.rational(3, 4) == ctx.rational(3, 4)
+
+
+def test_monomial_denominators_cancel_canonically(ctx):
+    a, c = ctx.param("a"), ctx.param("c")
+    s = ctx.radical("sqrt(a)")
+    lhs, rhs = (a * c + a * a) / (a * a), (c + a) / a
+    assert lhs == rhs and hash(lhs) == hash(rhs)
+    lhs, rhs = (s / (a * a)) * a, ctx.one / s
+    assert lhs == rhs and hash(lhs) == hash(rhs)
+    lhs, rhs = (c * c * a + 2 * a * a) / (3 * a ** 3), (c * c + 2 * a) / (3 * a * a)
+    assert lhs == rhs and hash(lhs) == hash(rhs)
+    assert lhs.to_text() == "(1/3*c^2 + 2/3*a)/a^2"
+    rng = random.Random(31)
+    for _ in range(40):
+        x, y = rand_scalar(ctx, rng), rand_scalar(ctx, rng)
+        if not y.is_zero:
+            back = (x * y) / y
+            assert back == x and hash(back) == hash(x)
+
+
+def _gaussian(s):
+    """(re, im) of a constant Scalar, checking its normal form on the way."""
+    re, im, den = s._g
+    assert den > 0 and math.gcd(re, im, den) == 1
+    return Fraction(re, den), Fraction(im, den)
+
+
+def test_constant_arithmetic_against_fractions(ctx):
+    rng = random.Random(29)
+
+    def draw():
+        return tuple(Fraction(rng.randint(-12, 12), rng.randint(-6, 6) or 1)
+                     for _ in range(2))
+
+    for _ in range(300):
+        (p, q), (r, t) = draw(), draw()
+        x = ctx.rational(p) + ctx.i * q
+        y = ctx.rational(r) + ctx.i * t
+        assert _gaussian(x) == (p, q)
+        assert _gaussian(x + y) == (p + r, q + t)
+        assert _gaussian(x - y) == (p - r, q - t)
+        assert _gaussian(x * y) == (p * r - q * t, p * t + q * r)
+        if r or t:
+            norm = r * r + t * t
+            assert _gaussian(x / y) == ((p * r + q * t) / norm, (q * r - p * t) / norm)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                x / y
+        assert _gaussian(x.conjugate()) == (p, -q)
+        assert (x == y) == ((p, q) == (r, t))
+
+
+@pytest.mark.parametrize("radicals", [
+    {"r": 4}, {"r": -1}, {"r": 0}, {"r": [(1, {"a": 2})]},
+    {"s": "a", "t": [(4, {"a": 1})]},
+])
+def test_square_radicands_rejected(radicals):
+    with pytest.raises(ValueError, match="square"):
+        Context(params=("a", "c"), radicals=radicals)
+
+
+@pytest.mark.parametrize("radicals", [{"sqrt(a)": "a"}, {"r": 2}, {"s": "a", "t": "c"}])
+def test_independent_radicals_accepted(radicals):
+    ctx = Context(params=("a", "c"), radicals=radicals)
+    roots = [ctx.radical(name) for name in radicals]
+    product = ctx.one
+    for root in roots:
+        assert not root.is_constant
+        product = product * root
+    assert not product.is_zero and not (product * product).is_zero
 
 
 def test_conjugation(ctx):
