@@ -15,8 +15,8 @@ import argparse
 import os
 import sys
 
-from .exprparse import (ParseError, _as_function, build_twist, load_config, parse_expr,
-                        standard_env)
+from .exprparse import (ParseError, _as_function, _as_scalar, build_twist, load_config,
+                        parse_expr, standard_env)
 from .hyperboloid import HyperboloidModel, hyperboloid_suite
 from .hopf_checks import hopf_axiom_report
 from .reports import Report
@@ -53,6 +53,18 @@ def _builtin_algebras(ctx):
         "fz2": lambda: function_algebra_z(ctx, 2),
         "sweedler": lambda: sweedler_h4(ctx),
     }
+
+
+def _check_options(args):
+    """Reject option values that would be ignored or would empty a report."""
+    if getattr(args, "degree", 0) < 0:
+        raise ParseError("--degree must be at least 0, got %d" % args.degree)
+    if getattr(args, "samples", 1) < 1:
+        raise ParseError("--samples must be at least 1, got %d" % args.samples)
+    if not getattr(args, "twist", None):
+        for opt in ("scale", "generators"):
+            if getattr(args, opt, None) is not None:
+                raise ParseError("--%s applies only together with --twist" % opt)
 
 
 class _Model:
@@ -107,9 +119,7 @@ class _Model:
             env = standard_env(self.ctx, self.alg, self.chart)
             scale = self.ctx.one
             if args.scale:
-                value = parse_expr(args.scale, env)
-                scale = self.ctx.scalar(value) if not hasattr(value, "is_unit") \
-                    else value
+                scale = _as_scalar(parse_expr(args.scale, env), self.ctx)
             self.twist = build_twist(self.alg, kind, gens, scale)
 
     def env(self):
@@ -312,6 +322,7 @@ def main(argv=None):
     if not hasattr(args, "unit_a"):
         args.unit_a = False
     try:
+        _check_options(args)
         return args.fn(args)
     except (ParseError, OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)

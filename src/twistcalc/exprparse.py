@@ -24,6 +24,7 @@ from fractions import Fraction
 
 from .geometry import CoordSystem, PolyFunction, Realization, VectorField
 from .lie import LiePresentation, PBWElement
+from .linear import SCALARS
 from .scalars import Context, HbarSeries, Scalar
 from .tensors import TensorElement
 from .twists import abelian_twist, jordanian_twist, trivial_twist
@@ -167,13 +168,10 @@ def parse_expr(text, env):
 # -- mixed arithmetic --------------------------------------------------------------
 
 
-_SCALARISH = (int, Fraction, Scalar, HbarSeries)
-
-
 def _add(a, b):
     if isinstance(a, int) and isinstance(b, int):
         return a + b
-    if isinstance(a, _SCALARISH) and not isinstance(b, _SCALARISH):
+    if isinstance(a, SCALARS) and not isinstance(b, SCALARS):
         return b + a
     out = a + b
     if out is NotImplemented:
@@ -186,12 +184,8 @@ def _neg(a):
 
 
 def _mul(a, b):
-    if isinstance(a, _SCALARISH) and not isinstance(b, _SCALARISH):
-        if isinstance(b, (PBWElement, TensorElement)):
-            return b.scale(a) if not isinstance(a, int) else b.scale(a)
+    if isinstance(a, SCALARS) and not isinstance(b, SCALARS):
         return b * a
-    if isinstance(b, _SCALARISH) and isinstance(a, (PBWElement, TensorElement)):
-        return a.scale(b)
     out = a * b
     if out is NotImplemented:
         raise ParseError("cannot multiply %s and %s"
@@ -205,9 +199,7 @@ def _div(a, b, pos=None):
     try:
         if isinstance(a, int) and isinstance(b, int):
             return Fraction(a, b)
-        if isinstance(a, (PolyFunction,)):
-            return a * _invert(b, pos)
-        if isinstance(a, (PBWElement, TensorElement)):
+        if isinstance(a, (PolyFunction, PBWElement, TensorElement)):
             return a.scale(_invert(b, pos))
         if isinstance(a, int):
             a = Fraction(a)
@@ -226,9 +218,7 @@ def _invert(b, pos):
         return Fraction(1, b)
     if isinstance(b, Fraction):
         return Fraction(1) / b
-    if isinstance(b, Scalar):
-        return b.inverse()
-    if isinstance(b, HbarSeries):
+    if isinstance(b, (Scalar, HbarSeries)):
         return b.inverse()
     raise ParseError("cannot invert %s" % type(b).__name__, pos)
 
@@ -256,25 +246,12 @@ def _tensor(env, a, b):
     def as_pbw(v):
         if isinstance(v, PBWElement):
             return v
-        if isinstance(v, (int, Fraction, Scalar, HbarSeries)):
-            return alg.unit(v if not isinstance(v, (int, Fraction)) else v)
+        if isinstance(v, SCALARS):
+            return alg.unit(v)
         raise ParseError("'ox' needs algebra elements, found %s" % type(v).__name__)
 
-    if isinstance(a, TensorElement):
-        leg = as_pbw(b)
-        out = {}
-        for key, c in a.terms.items():
-            for m, cm in leg.terms.items():
-                new = key + (m,)
-                val = c * cm
-                if new in out:
-                    val = out[new] + val
-                if val.is_zero:
-                    out.pop(new, None)
-                else:
-                    out[new] = val
-        return TensorElement(alg, a.arity + 1, out)
-    return TensorElement.from_legs(as_pbw(a), as_pbw(b))
+    return TensorElement.from_legs(a if isinstance(a, TensorElement) else as_pbw(a),
+                                   as_pbw(b))
 
 
 def standard_env(ctx, alg=None, chart=None):
@@ -492,9 +469,8 @@ def _as_scalar(value, ctx):
 def _as_function(value, chart):
     if isinstance(value, PolyFunction):
         return value
-    if isinstance(value, (int, Fraction, Scalar, HbarSeries)):
-        return chart.constant(value if not isinstance(value, (int, Fraction))
-                              else chart.ctx.scalar(value))
+    if isinstance(value, SCALARS):
+        return chart.constant(value)
     raise ParseError("expected a polynomial function, found %s"
                      % type(value).__name__)
 
@@ -517,16 +493,13 @@ def _parse_linear(text, basis, env, ctx):
     for name in basis:
         zero_env[name] = ctx.zero
     base = parse_expr(text, zero_env) if text not in ("0",) else 0
-    base_s = _as_scalar(base, ctx) if not isinstance(base, (int, Fraction)) \
-        else ctx.scalar(base)
-    if not base_s.is_zero:
+    if not _as_scalar(base, ctx).is_zero:
         raise ParseError("bracket right-hand side has a constant part")
     for name in basis:
         probe = dict(zero_env)
         probe[name] = ctx.one
         val = parse_expr(text, probe)
-        coeff = _as_scalar(val, ctx) if not isinstance(val, (int, Fraction)) \
-            else ctx.scalar(val)
+        coeff = _as_scalar(val, ctx)
         if not coeff.is_zero:
             out[name] = coeff
     return out

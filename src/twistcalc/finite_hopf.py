@@ -8,6 +8,7 @@ Hopf algebra, which is neither commutative nor cocommutative.
 
 from __future__ import annotations
 
+from .linear import _acc
 from .scalars import Scalar
 
 
@@ -16,23 +17,23 @@ class FiniteHopf:
         self.ctx = ctx
         self.names = tuple(names)
         self.dim = len(self.names)
-        self._index = {n: k for k, n in enumerate(self.names)}
-        sc = lambda v: v if isinstance(v, Scalar) else ctx.scalar(v)
-        self.unit = {self._index[n]: sc(v) for n, v in unit.items()}
-        self.mult = {}
-        for (na, nb), row in mult.items():
-            self.mult[(self._index[na], self._index[nb])] = {
-                self._index[nk]: sc(cv) for nk, cv in row.items()}
-        self.coproduct = {}
-        for n, row in coproduct.items():
-            self.coproduct[self._index[n]] = {
-                (self._index[na], self._index[nb]): sc(cv)
-                for (na, nb), cv in row.items()}
-        self.counit = {self._index[n]: sc(v) for n, v in counit.items()}
-        self.antipode = {}
-        for n, row in antipode.items():
-            self.antipode[self._index[n]] = {self._index[nk]: sc(cv)
-                                             for nk, cv in row.items()}
+        index = self._index = {n: k for k, n in enumerate(self.names)}
+
+        def key(names):
+            return tuple(index[n] for n in names) if isinstance(names, tuple) else index[names]
+
+        def table(row):
+            # sparse row over basis indices, zero entries dropped
+            out = {}
+            for names, v in row.items():
+                _acc(out, key(names), ctx.scalar(v))
+            return out
+
+        self.unit = table(unit)
+        self.mult = {key(pair): table(row) for pair, row in mult.items()}
+        self.coproduct = {index[n]: table(row) for n, row in coproduct.items()}
+        self.counit = table(counit)
+        self.antipode = {index[n]: table(row) for n, row in antipode.items()}
         for i in range(self.dim):
             for j in range(self.dim):
                 if (i, j) not in self.mult:
@@ -50,9 +51,6 @@ class FiniteHopf:
 
     # -- sparse vector/tensor helpers -----------------------------------------
 
-    def _clean(self, vec):
-        return {k: v for k, v in vec.items() if not v.is_zero}
-
     def basis_vec(self, i):
         return {i: self.ctx.one}
 
@@ -61,9 +59,8 @@ class FiniteHopf:
         for i, cu in u.items():
             for j, cv in v.items():
                 for k, ck in self.mult[(i, j)].items():
-                    val = out.get(k, self.ctx.zero) + cu * cv * ck
-                    out[k] = val
-        return self._clean(out)
+                    _acc(out, k, cu * cv * ck)
+        return out
 
     def mul_tensor(self, s, t):
         """Componentwise product of sparse tensors of equal arity."""
@@ -76,34 +73,32 @@ class FiniteHopf:
                     new = {}
                     for key, cv in partial.items():
                         for m, ck in self.mult[(ka[leg], kb[leg])].items():
-                            val = new.get(key + (m,), self.ctx.zero) + cv * ck
-                            new[key + (m,)] = val
+                            _acc(new, key + (m,), cv * ck)
                     partial = new
                 for key, cv in partial.items():
-                    out[key] = out.get(key, self.ctx.zero) + cv
-        return self._clean(out)
+                    _acc(out, key, cv)
+        return out
 
     def delta_vec(self, u):
         out = {}
         for i, c in u.items():
             for key, cv in self.coproduct[i].items():
-                out[key] = out.get(key, self.ctx.zero) + c * cv
-        return self._clean(out)
+                _acc(out, key, c * cv)
+        return out
 
     def delta_on_leg(self, t, leg):
         out = {}
         for key, c in t.items():
             for (a, b), cv in self.coproduct[key[leg]].items():
-                new = key[:leg] + (a, b) + key[leg + 1:]
-                out[new] = out.get(new, self.ctx.zero) + c * cv
-        return self._clean(out)
+                _acc(out, key[:leg] + (a, b) + key[leg + 1:], c * cv)
+        return out
 
     def antipode_vec(self, u):
         out = {}
         for i, c in u.items():
             for k, cv in self.antipode[i].items():
-                out[k] = out.get(k, self.ctx.zero) + c * cv
-        return self._clean(out)
+                _acc(out, k, c * cv)
+        return out
 
     def counit_vec(self, u):
         out = self.ctx.zero
@@ -121,7 +116,7 @@ class FiniteHopf:
     def is_cocommutative(self):
         for i in range(self.dim):
             flipped = {(b, a): c for (a, b), c in self.coproduct[i].items()}
-            if self._clean(flipped) != self._clean(dict(self.coproduct[i])):
+            if flipped != self.coproduct[i]:
                 return False
         return True
 

@@ -11,10 +11,9 @@ matching the dual-pairing formula).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .lie import PBWElement
-from .scalars import HbarSeries, Scalar
+from .linear import SCALARS, LinearCombination, _acc, format_sum, monomial_text, sort_sign
+from .scalars import HbarSeries
 
 
 class CoordSystem:
@@ -61,16 +60,10 @@ class CoordSystem:
         return VectorField(self, (self._zero_fn,) * self.dim)
 
 
-def _series_of(chart, coeff):
-    if isinstance(coeff, HbarSeries):
-        return coeff
-    return chart.ctx.series([coeff])
-
-
-class PolyFunction:
+class PolyFunction(LinearCombination):
     """Polynomial in the coordinates with hbar-series coefficients."""
 
-    __slots__ = ("chart", "terms")
+    __slots__ = ("chart",)
 
     def __init__(self, chart, terms):
         self.chart = chart
@@ -80,84 +73,31 @@ class PolyFunction:
     def ctx(self):
         return self.chart.ctx
 
-    def _coerce(self, other):
-        if isinstance(other, PolyFunction):
-            if other.chart is not self.chart:
-                raise ValueError("functions on different coordinate systems")
-            return other
-        if isinstance(other, (int, Fraction, Scalar, HbarSeries)):
-            return self.chart.constant(other)
-        return None
+    def _like(self, terms):
+        return PolyFunction(self.chart, terms)
 
-    @property
-    def is_zero(self):
-        return not self.terms
+    def _space(self):
+        return self.chart
+
+    def _unit(self):
+        return self.chart.one_fn()
 
     def degree(self):
         return max((sum(e) for e in self.terms), default=0)
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        out = dict(self.terms)
-        for m, c in o.terms.items():
-            val = out.get(m)
-            val = c if val is None else val + c
-            if val.is_zero:
-                out.pop(m, None)
-            else:
-                out[m] = val
-        return PolyFunction(self.chart, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PolyFunction(self.chart, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Scalar, HbarSeries)):
-            c = _series_of(self.chart, other)
-            if c.is_zero:
-                return self.chart.zero_fn()
-            return PolyFunction(self.chart, {m: cv * c for m, cv in self.terms.items()})
+        if isinstance(other, SCALARS):
+            return self.scale(other)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         out = {}
         for ma, ca in self.terms.items():
             for mb, cb in o.terms.items():
-                key = tuple(x + y for x, y in zip(ma, mb))
-                c = ca * cb
-                val = out.get(key)
-                val = c if val is None else val + c
-                if val.is_zero:
-                    out.pop(key, None)
-                else:
-                    out[key] = val
+                _acc(out, tuple(x + y for x, y in zip(ma, mb)), ca * cb)
         return PolyFunction(self.chart, out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        out = self.chart.one_fn()
-        for _ in range(n):
-            out = out * self
-        return out
 
     def diff(self, i):
         out = {}
@@ -171,50 +111,14 @@ class PolyFunction:
 
     def star(self):
         """Complex conjugation of coefficients; the coordinates are real."""
-        return PolyFunction(self.chart,
-                            {m: c.conjugate() for m, c in self.terms.items()})
-
-    def coeff(self, exps):
-        return self.terms.get(tuple(exps), self.ctx.series_zero())
-
-    def __eq__(self, other):
-        o = self._coerce(other) if not isinstance(other, PolyFunction) else other
-        if not isinstance(o, PolyFunction):
-            return NotImplemented
-        return self.chart is o.chart and self.terms == o.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return self._map(HbarSeries.conjugate)
 
     def to_text(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for m in sorted(self.terms, key=lambda e: (sum(e), e), reverse=True):
-            c = self.terms[m]
-            factors = [self.chart.names[i] if k == 1 else "%s^%d" % (self.chart.names[i], k)
-                       for i, k in enumerate(m) if k]
-            ct = c.to_text()
-            wrap = ("+" in ct[1:]) or ("-" in ct[1:]) or ("/" in ct) or (" " in ct)
-            if not factors:
-                parts.append("(" + ct + ")" if wrap else ct)
-            elif ct == "1":
-                parts.append("*".join(factors))
-            elif ct == "-1":
-                parts.append("-" + "*".join(factors))
-            else:
-                if wrap:
-                    ct = "(" + ct + ")"
-                parts.append(ct + "*" + "*".join(factors))
-        out = parts[0]
-        for term in parts[1:]:
-            out += " - " + term[1:] if term.startswith("-") else " + " + term
-        return out
+        names = self.chart.names
+        return format_sum((self.terms[m].to_text(), monomial_text(names, m))
+                          for m in sorted(self.terms, key=lambda e: (sum(e), e), reverse=True))
 
     __str__ = to_text
-
-    def __repr__(self):
-        return "PolyFunction(%s)" % self.to_text()
 
 
 class VectorField:
@@ -294,65 +198,33 @@ class VectorField:
         return "VectorField(%s)" % self.to_text()
 
 
-def _sort_sign(indices):
-    """Sort an index tuple, returning (sorted tuple, sign); None if repeated."""
-    idx = list(indices)
-    sign = 1
-    for a in range(len(idx)):
-        for b in range(len(idx) - 1 - a):
-            if idx[b] > idx[b + 1]:
-                idx[b], idx[b + 1] = idx[b + 1], idx[b]
-                sign = -sign
-            elif idx[b] == idx[b + 1]:
-                return None, 0
-    if len(set(idx)) != len(idx):
-        return None, 0
-    return tuple(idx), sign
-
-
-class _Graded:
+class _Graded(LinearCombination):
     """Shared machinery of multivectors and forms (dict: index tuple -> function)."""
 
-    __slots__ = ("chart", "terms")
+    __slots__ = ("chart",)
 
     def __init__(self, chart, terms):
         self.chart = chart
         self.terms = {k: v for k, v in terms.items() if not v.is_zero}
 
     @property
-    def is_zero(self):
-        return not self.terms
+    def ctx(self):
+        return self.chart.ctx
+
+    def _like(self, terms):
+        return type(self)(self.chart, terms)
+
+    def _space(self):
+        return self.chart
+
+    def _zero_coeff(self):
+        return self.chart.zero_fn()
 
     def degrees(self):
         return sorted({len(k) for k in self.terms})
 
     def homogeneous(self, k):
-        return type(self)(self.chart, {m: c for m, c in self.terms.items()
-                                       if len(m) == k})
-
-    def __add__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            val = out.get(m)
-            val = c if val is None else val + c
-            if val.is_zero:
-                out.pop(m, None)
-            else:
-                out[m] = val
-        return type(self)(self.chart, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return type(self)(self.chart, {m: -c for m, c in self.terms.items()})
-
-    def scale(self, coeff):
-        if isinstance(coeff, PolyFunction):
-            return type(self)(self.chart, {m: coeff * c for m, c in self.terms.items()})
-        return type(self)(self.chart, {m: c * coeff for m, c in self.terms.items()})
+        return self._like({m: c for m, c in self.terms.items() if len(m) == k})
 
     def wedge(self, other):
         if type(other) is not type(self):
@@ -360,35 +232,26 @@ class _Graded:
         out = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
-                key, sign = _sort_sign(ma + mb)
-                if sign == 0:
-                    continue
-                c = ca * cb if sign > 0 else -(ca * cb)
-                val = out.get(key)
-                val = c if val is None else val + c
-                if val.is_zero:
-                    out.pop(key, None)
-                else:
-                    out[key] = val
-        return type(self)(self.chart, out)
+                key, sign = sort_sign(ma + mb)
+                if sign:
+                    _acc(out, key, ca * cb if sign > 0 else -(ca * cb))
+        return self._like(out)
 
     def star(self):
         """Graded *-involution: (A wedge B)* = B* wedge A*, generators flip sign."""
         out = {}
         for m, c in self.terms.items():
             k = len(m)
-            sign = -1 if (k * (k + 1) // 2) % 2 else 1
-            cc = c.star()
-            out[m] = cc * sign if sign < 0 else cc
-        return type(self)(self.chart, out)
+            out[m] = -c.star() if (k * (k + 1) // 2) % 2 else c.star()
+        return self._like(out)
 
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.chart is other.chart and self.terms == other.terms
+    @classmethod
+    def from_function(cls, f):
+        return cls(f.chart, {(): f})
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+    @classmethod
+    def zero(cls, chart):
+        return cls(chart, {})
 
     def _basis_symbol(self, i):
         raise NotImplementedError
@@ -398,8 +261,7 @@ class _Graded:
             return "0"
         parts = []
         for m in sorted(self.terms, key=lambda k: (len(k), k)):
-            c = self.terms[m]
-            ct = c.to_text()
+            ct = self.terms[m].to_text()
             if " " in ct or "/" in ct:
                 ct = "(" + ct + ")"
             body = "^".join(self._basis_symbol(i) for i in m)
@@ -409,23 +271,12 @@ class _Graded:
 
     __str__ = to_text
 
-    def __repr__(self):
-        return "%s(%s)" % (type(self).__name__, self.to_text())
-
 
 class MultiVector(_Graded):
     """Graded element over d_{i1}^...^d_{ik} with polynomial coefficients."""
 
     def _basis_symbol(self, i):
         return "d_%d" % (i + 1)
-
-    @classmethod
-    def from_function(cls, f):
-        return cls(f.chart, {(): f})
-
-    @classmethod
-    def zero(cls, chart):
-        return cls(chart, {})
 
     def factors(self, m):
         """A term f d_I as a list of vector fields [f d_{i1}, d_{i2}, ...]."""
@@ -444,14 +295,6 @@ class DiffForm(_Graded):
     def _basis_symbol(self, i):
         return "dx%d" % (i + 1)
 
-    @classmethod
-    def from_function(cls, f):
-        return cls(f.chart, {(): f})
-
-    @classmethod
-    def zero(cls, chart):
-        return cls(chart, {})
-
 
 # -- Cartan operations -----------------------------------------------------------
 
@@ -465,16 +308,9 @@ def exterior_derivative(omega):
             df = f.diff(i)
             if df.is_zero:
                 continue
-            key, sign = _sort_sign((i,) + m)
-            if sign == 0:
-                continue
-            c = df if sign > 0 else -df
-            val = out.get(key)
-            val = c if val is None else val + c
-            if val.is_zero:
-                out.pop(key, None)
-            else:
-                out[key] = val
+            key, sign = sort_sign((i,) + m)
+            if sign:
+                _acc(out, key, df if sign > 0 else -df)
     return DiffForm(chart, out)
 
 
@@ -485,14 +321,7 @@ def _insert_coordinate(i, omega):
         if i not in m:
             continue
         pos = m.index(i)
-        key = m[:pos] + m[pos + 1:]
-        c = f if pos % 2 == 0 else -f
-        val = out.get(key)
-        val = c if val is None else val + c
-        if val.is_zero:
-            out.pop(key, None)
-        else:
-            out[key] = val
+        _acc(out, m[:pos] + m[pos + 1:], f if pos % 2 == 0 else -f)
     return DiffForm(omega.chart, out)
 
 
@@ -570,8 +399,8 @@ def _schouten_term(p, mi, q, mj):
         res = _schouten_fn_term(g, p, mi)
         sign = -1 if (k - 1) % 2 else 1   # -(-1)^{(k-1)(0-1)} [[g, X]]
         return res.scale(-sign)
-    xs = _factor_fields(chart, f, mi)
-    ys = _factor_fields(chart, g, mj)
+    xs = p.factors(mi)
+    ys = q.factors(mj)
     out = MultiVector.zero(chart)
     for a in range(k):
         for b in range(l):
@@ -593,7 +422,7 @@ def _schouten_term(p, mi, q, mj):
 def _schouten_fn_term(a, q, mj):
     """[[a, Y1^...^Yl]] = sum_j (-1)^j Y_j(a) Y1 ^ ... ^ hat Y_j ^ ... ^ Yl."""
     chart = q.chart
-    ys = _factor_fields(chart, q.terms[mj], mj)
+    ys = q.factors(mj)
     out = MultiVector.zero(chart)
     for j, y in enumerate(ys):
         coeff = y.apply(a)
@@ -604,14 +433,6 @@ def _schouten_fn_term(a, q, mj):
             if t != j:
                 rest = rest.wedge(yy.to_multivector())
         out = out + rest if j % 2 else out - rest   # (-1)^{j+1} 0-based = (-1)^j 1-based
-    return out
-
-
-def _factor_fields(chart, coeff, m):
-    out = []
-    for pos, i in enumerate(m):
-        base = chart.coordinate_field(i)
-        out.append(base.scale(coeff) if pos == 0 else base)
     return out
 
 
@@ -687,8 +508,7 @@ class Realization:
             raise ValueError("element of an unrealized algebra")
         out = None
         for m, c in el.terms.items():
-            piece = self.act_monomial(m, obj)
-            piece = piece.scale(c) if not isinstance(piece, PolyFunction) else piece * c
+            piece = self.act_monomial(m, obj).scale(c)
             out = piece if out is None else out + piece
         if out is not None:
             return out

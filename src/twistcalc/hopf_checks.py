@@ -11,6 +11,7 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 
 from .lie import LiePresentation
+from .linear import _acc
 from .finite_hopf import FiniteHopf
 from .reports import Report
 
@@ -98,7 +99,6 @@ def _flip_ss(el):
 
 def _finite_report(h):
     rep = Report("hopf-axioms finite dim %d" % h.dim)
-    ctx = h.ctx
     basis = list(range(h.dim))
 
     def per_basis(fn, render=h.render):
@@ -109,33 +109,19 @@ def _finite_report(h):
                 failures.append((h.names[i], render(res)))
         return _aggregate(failures, len(basis))
 
-    def tdiff(a, b):
-        out = dict(a)
-        for k, v in b.items():
-            val = out.get(k, ctx.zero) - v
-            if val.is_zero:
-                out.pop(k, None)
-            else:
-                out[k] = val
-        return {k: v for k, v in out.items() if not v.is_zero}
-
-    def vdiff(a, b):
-        return tdiff({(k,): v for k, v in a.items()},
-                     {(k,): v for k, v in b.items()})
-
     rep.run("multiplication table closes/assoc", lambda: per_basis(
         lambda i: _assoc_failure(h, i)))
     rep.run("coassociativity", lambda: per_basis(
-        lambda i: tdiff(h.delta_on_leg(h.delta_vec(h.basis_vec(i)), 0),
+        lambda i: _diff(h.delta_on_leg(h.delta_vec(h.basis_vec(i)), 0),
                         h.delta_on_leg(h.delta_vec(h.basis_vec(i)), 1))))
     rep.run("counit left", lambda: per_basis(
-        lambda i: vdiff(_counit_leg(h, i, 0), h.basis_vec(i))))
+        lambda i: _diff(_counit_leg(h, i, 0), h.basis_vec(i))))
     rep.run("counit right", lambda: per_basis(
-        lambda i: vdiff(_counit_leg(h, i, 1), h.basis_vec(i))))
+        lambda i: _diff(_counit_leg(h, i, 1), h.basis_vec(i))))
     rep.run("antipode left", lambda: per_basis(
-        lambda i: vdiff(_antipode_side(h, i, left=True), _eps_unit(h, i))))
+        lambda i: _diff(_antipode_side(h, i, left=True), _eps_unit(h, i))))
     rep.run("antipode right", lambda: per_basis(
-        lambda i: vdiff(_antipode_side(h, i, left=False), _eps_unit(h, i))))
+        lambda i: _diff(_antipode_side(h, i, left=False), _eps_unit(h, i))))
 
     def antihom():
         failures = []
@@ -144,7 +130,7 @@ def _finite_report(h):
                 lhs = h.antipode_vec(h.mul_vec(h.basis_vec(i), h.basis_vec(j)))
                 rhs = h.mul_vec(h.antipode_vec(h.basis_vec(j)),
                                 h.antipode_vec(h.basis_vec(i)))
-                res = vdiff(lhs, rhs)
+                res = _diff(lhs, rhs)
                 if res:
                     failures.append(("%s*%s" % (h.names[i], h.names[j]), h.render(res)))
         return _aggregate(failures, len(basis) ** 2)
@@ -155,10 +141,10 @@ def _finite_report(h):
     cocomm = h.is_cocommutative()
     if comm or cocomm:
         rep.run("S^2 = id ((co)commutative)", lambda: per_basis(
-            lambda i: vdiff(h.antipode_vec(h.antipode_vec(h.basis_vec(i))),
+            lambda i: _diff(h.antipode_vec(h.antipode_vec(h.basis_vec(i))),
                             h.basis_vec(i))))
     else:
-        s2 = all(not vdiff(h.antipode_vec(h.antipode_vec(h.basis_vec(i))),
+        s2 = all(not _diff(h.antipode_vec(h.antipode_vec(h.basis_vec(i))),
                            h.basis_vec(i)) for i in basis)
         rep.note("S^2 = id", "not required (neither commutative nor cocommutative); "
                  + ("holds anyway" if s2 else "S^2 != id"))
@@ -172,21 +158,26 @@ def _assoc_failure(h, i):
         for k in range(h.dim):
             lhs = h.mul_vec(h.mul_vec(h.basis_vec(i), h.basis_vec(j)), h.basis_vec(k))
             rhs = h.mul_vec(h.basis_vec(i), h.mul_vec(h.basis_vec(j), h.basis_vec(k)))
-            diff = {m: lhs.get(m, h.ctx.zero) - rhs.get(m, h.ctx.zero)
-                    for m in set(lhs) | set(rhs)}
-            diff = {m: v for m, v in diff.items() if not v.is_zero}
+            diff = _diff(lhs, rhs)
             if diff:
                 return diff
     return {}
+
+
+def _diff(a, b):
+    """a - b for sparse dicts of scalars."""
+    out = dict(a)
+    for k, v in b.items():
+        _acc(out, k, -v)
+    return out
 
 
 def _counit_leg(h, i, leg):
     out = {}
     for (ka, kb), c in h.delta_vec(h.basis_vec(i)).items():
         scal, keep = ((ka, kb)[leg], (ka, kb)[1 - leg])
-        val = c * h.counit.get(scal, h.ctx.zero)
-        out[keep] = out.get(keep, h.ctx.zero) + val
-    return {k: v for k, v in out.items() if not v.is_zero}
+        _acc(out, keep, c * h.counit.get(scal, h.ctx.zero))
+    return out
 
 
 def _antipode_side(h, i, left):
@@ -197,10 +188,10 @@ def _antipode_side(h, i, left):
         else:
             prod = h.mul_vec({ka: h.ctx.one}, h.antipode_vec({kb: h.ctx.one}))
         for k, v in prod.items():
-            out[k] = out.get(k, h.ctx.zero) + c * v
-    return {k: v for k, v in out.items() if not v.is_zero}
+            _acc(out, k, c * v)
+    return out
 
 
 def _eps_unit(h, i):
-    eps = h.counit.get(i, h.ctx.zero)
-    return {k: eps * v for k, v in h.unit.items() if not (eps * v).is_zero}
+    eps = h.counit.get(i)
+    return {} if eps is None else {k: eps * v for k, v in h.unit.items()}

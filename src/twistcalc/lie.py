@@ -12,7 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 
-from .scalars import HbarSeries, Scalar
+from .linear import SCALARS, LinearCombination, _acc, format_sum, monomial_text
+from .scalars import HbarSeries
 
 
 class LiePresentation:
@@ -37,9 +38,9 @@ class LiePresentation:
             ia, ib = self._index[na], self._index[nb]
             if ia == ib:
                 raise ValueError("bracket [%s,%s] of a generator with itself" % (na, nb))
-            row = {self._index[nk]: ctx.scalar(cv) if not isinstance(cv, Scalar) else cv
-                   for nk, cv in expansion.items()}
-            row = {k: v for k, v in row.items() if not v.is_zero}
+            row = {}
+            for nk, cv in expansion.items():
+                _acc(row, self._index[nk], ctx.scalar(cv))
             if (ia, ib) in table or (ib, ia) in table:
                 raise ValueError("bracket [%s,%s] given twice" % (na, nb))
             table[(ia, ib)] = row
@@ -67,7 +68,6 @@ class LiePresentation:
         return self._table.get((i, j), {})
 
     def _check_jacobi(self):
-        zero = self.ctx.zero
         n = self.dim
         for i in range(n):
             for j in range(i + 1, n):
@@ -76,8 +76,8 @@ class LiePresentation:
                     for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
                         for m, cv in self.bracket(a, b).items():
                             for l, dv in self.bracket(m, c).items():
-                                acc[l] = acc.get(l, zero) + cv * dv
-                    if any(not v.is_zero for v in acc.values()):
+                                _acc(acc, l, cv * dv)
+                    if acc:
                         raise ValueError(
                             "structure constants violate the Jacobi identity on (%s,%s,%s)"
                             % (self.names[i], self.names[j], self.names[k]))
@@ -88,13 +88,10 @@ class LiePresentation:
             # ([e_i, e_j])^* must equal [e_j^*, e_i^*] = eps_i eps_j [e_j, e_i]
             lhs = {k: v.conjugate() * eps[k] for k, v in row.items()}
             rhs = {k: v * (eps[i] * eps[j]) for k, v in self.bracket(j, i).items()}
-            keys = set(lhs) | set(rhs)
-            zero = self.ctx.zero
-            for k in keys:
-                if lhs.get(k, zero) != rhs.get(k, zero):
-                    raise ValueError(
-                        "involution table violates [x,y]* = [y*,x*] on (%s,%s)"
-                        % (self.names[i], self.names[j]))
+            if lhs != rhs:
+                raise ValueError(
+                    "involution table violates [x,y]* = [y*,x*] on (%s,%s)"
+                    % (self.names[i], self.names[j]))
 
     # -- PBW rewriting -------------------------------------------------------
 
@@ -120,12 +117,7 @@ class LiePresentation:
             for m, cv in self.bracket(j, i).items():
                 sub = word[:desc] + (m,) + word[desc + 2:]
                 for exps, sv in self.normal_word(sub).items():
-                    acc = result.get(exps)
-                    val = sv * cv if acc is None else acc + sv * cv
-                    if val.is_zero:
-                        result.pop(exps, None)
-                    else:
-                        result[exps] = val
+                    _acc(result, exps, sv * cv)
         self._word_cache[word] = result
         return result
 
@@ -150,10 +142,7 @@ class LiePresentation:
         return self.monomial(tuple(exps))
 
     def monomial(self, exps, coeff=1):
-        c = coeff if isinstance(coeff, HbarSeries) else self.ctx.series([coeff])
-        if c.is_zero:
-            return PBWElement(self, {})
-        return PBWElement(self, {tuple(exps): c})
+        return self.element({exps: coeff})
 
     def element(self, terms):
         """Element from {exps: coefficient}; coefficients may be int/Scalar/series."""
@@ -208,19 +197,10 @@ class LiePresentation:
         return result
 
 
-def _acc(d, key, val):
-    old = d.get(key)
-    new = val if old is None else old + val
-    if (isinstance(new, (Scalar, HbarSeries)) and new.is_zero):
-        d.pop(key, None)
-    else:
-        d[key] = new
-
-
-class PBWElement:
+class PBWElement(LinearCombination):
     """Normal-ordered element of U(g) with truncated hbar-series coefficients."""
 
-    __slots__ = ("alg", "terms")
+    __slots__ = ("alg",)
 
     def __init__(self, alg, terms):
         self.alg = alg
@@ -230,67 +210,22 @@ class PBWElement:
     def ctx(self):
         return self.alg.ctx
 
-    def _coerce(self, other):
-        if isinstance(other, PBWElement):
-            if other.alg is not self.alg:
-                raise ValueError("elements of different enveloping algebras")
-            return other
-        if isinstance(other, (int, Fraction, Scalar, HbarSeries)):
-            return self.alg.unit(other)
-        return None
+    def _like(self, terms):
+        return PBWElement(self.alg, terms)
 
-    # -- queries ---------------------------------------------------------------
+    def _space(self):
+        return self.alg
 
-    @property
-    def is_zero(self):
-        return not self.terms
+    def _unit(self):
+        return self.alg.unit()
 
     def degree(self):
         return max((sum(e) for e in self.terms), default=0)
 
-    def coeff(self, exps):
-        return self.terms.get(tuple(exps), self.ctx.series_zero())
-
     # -- ring operations ---------------------------------------------------------
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        out = dict(self.terms)
-        for m, c in o.terms.items():
-            _acc(out, m, c)
-        return PBWElement(self.alg, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PBWElement(self.alg, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def scale(self, coeff):
-        if isinstance(coeff, HbarSeries):
-            if coeff.is_zero:
-                return self.alg.zero_el()
-            return PBWElement(self.alg, {m: c * coeff for m, c in self.terms.items()})
-        s = self.ctx.scalar(coeff)
-        if s.is_zero:
-            return self.alg.zero_el()
-        return PBWElement(self.alg, {m: c * s for m, c in self.terms.items()})
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Scalar, HbarSeries)):
+        if isinstance(other, SCALARS):
             return self.scale(other)
         o = self._coerce(other)
         if o is None:
@@ -308,17 +243,9 @@ class PBWElement:
         return PBWElement(alg, out)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, Scalar, HbarSeries)):
+        if isinstance(other, SCALARS):
             return self.scale(other)
         return NotImplemented
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        out = self.alg.unit()
-        for _ in range(n):
-            out = out * self
-        return out
 
     # -- Hopf structure -----------------------------------------------------------
 
@@ -339,8 +266,7 @@ class PBWElement:
         return PBWElement(self.alg, out)
 
     def counit(self):
-        unit = (0,) * self.alg.dim
-        return self.terms.get(unit, self.ctx.series_zero())
+        return self.coeff((0,) * self.alg.dim)
 
     def star(self):
         """The *-involution extended as an antilinear anti-homomorphism."""
@@ -359,49 +285,14 @@ class PBWElement:
                 _acc(out, m2, cc * sv)
         return PBWElement(self.alg, out)
 
-    # -- comparison / printing -------------------------------------------------
-
-    def __eq__(self, other):
-        o = self._coerce(other) if not isinstance(other, PBWElement) else other
-        if not isinstance(o, PBWElement):
-            return NotImplemented
-        return self.alg is o.alg and self.terms == o.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+    # -- printing --------------------------------------------------------------------
 
     def to_text(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for m in sorted(self.terms, key=lambda e: (sum(e), e)):
-            c = self.terms[m]
-            factors = []
-            for i, k in enumerate(m):
-                if k:
-                    nm = self.alg.names[i]
-                    factors.append(nm if k == 1 else "%s^%d" % (nm, k))
-            ct = c.to_text()
-            needs_parens = ("+" in ct[1:]) or ("-" in ct[1:]) or ("/" in ct) or (" " in ct)
-            if not factors:
-                parts.append("(" + ct + ")" if needs_parens else ct)
-            elif ct == "1":
-                parts.append("*".join(factors))
-            elif ct == "-1":
-                parts.append("-" + "*".join(factors))
-            else:
-                if needs_parens:
-                    ct = "(" + ct + ")"
-                parts.append(ct + "*" + "*".join(factors))
-        out = parts[0]
-        for term in parts[1:]:
-            out += " - " + term[1:] if term.startswith("-") else " + " + term
-        return out
+        names = self.alg.names
+        return format_sum((self.terms[m].to_text(), monomial_text(names, m))
+                          for m in sorted(self.terms, key=lambda e: (sum(e), e)))
 
     __str__ = to_text
-
-    def __repr__(self):
-        return "PBWElement(%s)" % self.to_text()
 
 
 # -- standard presentations ------------------------------------------------------
@@ -446,7 +337,7 @@ def symmetrize(alg, poly_terms, degree_bound=4):
     coefficients; a monomial of degree n is sent to hbar^n/n! times the sum
     of all letter orderings.
     """
-    out = alg.zero_el()
+    out = {}
     for exps, coeff in poly_terms.items():
         n = sum(exps)
         if n > degree_bound:
@@ -458,9 +349,9 @@ def symmetrize(alg, poly_terms, degree_bound=4):
             for m, sv in alg.normal_word(sigma).items():
                 _acc(acc, m, sv)
         factor = c.shift(n) * Fraction(1, _fact(n))
-        piece = PBWElement(alg, {m: factor * sv for m, sv in acc.items()})
-        out = out + piece
-    return out
+        for m, sv in acc.items():
+            _acc(out, m, factor * sv)
+    return PBWElement(alg, out)
 
 
 def unsymmetrize(alg, el, degree_bound=4):

@@ -649,18 +649,12 @@ class HbarSeries:
 
     def inverse(self):
         """Exact inverse, defined iff the constant term is nonzero."""
+        from .linear import unipotent_inverse
         if not self.is_unit:
             raise NonUnitError("series with zero constant term has no inverse")
         c0inv = self.coeffs[0].inverse()
-        v = self.ctx.series_one(self.order) - self * c0inv   # zero constant term
-        out = self.ctx.series_one(self.order)
-        p = self.ctx.series_one(self.order)
-        for _ in range(self.order):
-            p = p * v
-            if p.is_zero:
-                break
-            out = out + p
-        return out * c0inv
+        one = self.ctx.series_one(self.order)
+        return unipotent_inverse(self * c0inv, one, self.order) * c0inv
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
@@ -688,31 +682,17 @@ class HbarSeries:
 
     def exp(self):
         """Finite sum of u^n/n! for a series u with zero constant term."""
+        from .linear import nilpotent_exp
         if self.is_unit:
             raise ValueError("exp requires zero constant term")
-        out = self.ctx.series_one(self.order)
-        p = self.ctx.series_one(self.order)
-        fact = 1
-        for k in range(1, self.order + 1):
-            p = p * self
-            if p.is_zero:
-                break
-            fact *= k
-            out = out + p * Fraction(1, fact)
-        return out
+        return nilpotent_exp(self, self.ctx.series_one(self.order), self.order)
 
     def log1p(self):
         """log(1 + u) as a finite sum, for u with zero constant term."""
+        from .linear import nilpotent_log1p
         if self.is_unit:
             raise ValueError("log1p requires zero constant term")
-        out = self.ctx.series_zero(self.order)
-        p = self.ctx.series_one(self.order)
-        for k in range(1, self.order + 1):
-            p = p * self
-            if p.is_zero:
-                break
-            out = out + p * Fraction((-1) ** (k + 1), k)
-        return out
+        return nilpotent_log1p(self, self.order)
 
     def shift(self, k):
         """Multiply by hbar^k, discarding what truncation pushes out."""

@@ -21,12 +21,6 @@ from .scalars import Scalar
 from .twists import Twist, check_unitary, r_matrix
 
 
-def _scale_obj(obj, coeff):
-    if isinstance(obj, PolyFunction):
-        return obj * coeff
-    return obj.scale(coeff)
-
-
 class TwistedCalculus:
     """Star product and twisted Cartan operators for (realization, twist).
 
@@ -59,7 +53,7 @@ class TwistedCalculus:
         out = None
         for (m1, m2), c in tensor.terms.items():
             piece = combine(self._act(m1, first), self._act(m2, second))
-            piece = _scale_obj(piece, c)
+            piece = piece.scale(c)
             out = piece if out is None else out + piece
         return out
 
@@ -164,7 +158,7 @@ class TwistedCalculus:
             yb = self._act(m1, y)
             xb = self._act(m2, x)
             piece = self._apply_op(kind_b, yb, self._apply_op(kind_a, xb, omega))
-            piece = _scale_obj(piece, c)
+            piece = piece.scale(c)
             rhs = piece if rhs is None else rhs + piece
         if rhs is None:
             rhs = DiffForm.zero(self.chart)
@@ -394,21 +388,9 @@ def poisson_from_r(real, r, f, g):
 
 def mod_hbar(f):
     """Classical limit: keep only the hbar^0 coefficient of every monomial."""
-    ctx = f.ctx
-    out = {}
-    for m, c in f.terms.items():
-        c0 = c.coeff(0)
-        if not c0.is_zero:
-            out[m] = ctx.series([c0])
-    return PolyFunction(f.chart, out)
+    return hbar_coefficient(f, 0)
 
 
 def hbar_coefficient(f, n):
     """The coefficient of hbar^n as an hbar-free polynomial."""
-    ctx = f.ctx
-    out = {}
-    for m, c in f.terms.items():
-        cn = c.coeff(n)
-        if not cn.is_zero:
-            out[m] = ctx.series([cn])
-    return PolyFunction(f.chart, out)
+    return f._map(lambda c: f.ctx.series([c.coeff(n)]))

@@ -13,6 +13,7 @@ import random
 
 from .geometry import (DiffForm, MultiVector, PolyFunction, VectorField,
                        exterior_derivative, insert)
+from .linear import _acc
 from .reports import Report
 from .scalars import HbarSeries
 
@@ -54,8 +55,7 @@ class QuadricIdeal:
         if isinstance(p, VectorField):
             return VectorField(self.chart, tuple(self.reduce(c) for c in p.comps))
         if isinstance(p, (MultiVector, DiffForm)):
-            return type(p)(self.chart,
-                           {m: self.reduce(c) for m, c in p.terms.items()})
+            return p._map(self.reduce)
         out = dict(p.terms)
         lead = self.lead_monomial
         while True:
@@ -70,14 +70,7 @@ class QuadricIdeal:
             quot_m = tuple(a - b for a, b in zip(target, lead))
             factor = c * self._lead_inv
             for gm, gc in self.generator.terms.items():
-                key = tuple(a + b for a, b in zip(quot_m, gm))
-                val = out.get(key, None)
-                sub = factor * gc
-                val = -sub if val is None else val - sub
-                if val.is_zero:
-                    out.pop(key, None)
-                else:
-                    out[key] = val
+                _acc(out, tuple(a + b for a, b in zip(quot_m, gm)), -(factor * gc))
         return PolyFunction(self.chart, out)
 
     # -- tangency --------------------------------------------------------------
@@ -105,9 +98,7 @@ class QuadricIdeal:
                 coeff = f * dfi
                 if pos % 2:
                     coeff = -coeff
-                rest = m[:pos] + m[pos + 1:]
-                prev = contracted.get(rest)
-                contracted[rest] = coeff if prev is None else prev + coeff
+                _acc(contracted, m[:pos] + m[pos + 1:], coeff)
         for coeff in contracted.values():
             if not self.reduce(coeff).is_zero:
                 return False

@@ -8,14 +8,13 @@ F_12, F_21, F_13 notation, and the coproduct can be spliced into any leg.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from .lie import PBWElement
+from .linear import (SCALARS, LinearCombination, _acc, monomial_text, nilpotent_exp,
+                     unipotent_inverse, wrap_coefficient)
 
-from .scalars import HbarSeries, Scalar
-from .lie import PBWElement, _acc
 
-
-class TensorElement:
-    __slots__ = ("alg", "arity", "terms")
+class TensorElement(LinearCombination):
+    __slots__ = ("alg", "arity")
 
     def __init__(self, alg, arity, terms):
         self.alg = alg
@@ -25,6 +24,15 @@ class TensorElement:
     @property
     def ctx(self):
         return self.alg.ctx
+
+    def _like(self, terms):
+        return TensorElement(self.alg, self.arity, terms)
+
+    def _space(self):
+        return (self.alg, self.arity)
+
+    def _unit(self):
+        return TensorElement.unit(self.alg, self.arity)
 
     # -- constructors -----------------------------------------------------------
 
@@ -39,78 +47,28 @@ class TensorElement:
 
     @classmethod
     def from_legs(cls, *legs):
-        """Tensor product of PBW elements, one per leg."""
+        """Tensor product of the factors in order: a PBW element fills one leg,
+        a tensor as many legs as its arity."""
         alg = legs[0].alg
         terms = {(): alg.ctx.series([1])}
+        arity = 0
         for leg in legs:
             if leg.alg is not alg:
                 raise ValueError("legs from different algebras")
+            if isinstance(leg, PBWElement):
+                leg = cls(alg, 1, {(m,): c for m, c in leg.terms.items()})
             new = {}
             for key, c in terms.items():
-                for m, cm in leg.terms.items():
-                    _acc(new, key + (m,), c * cm)
+                for k, ck in leg.terms.items():
+                    _acc(new, key + k, c * ck)
             terms = new
-        return cls(alg, len(legs), terms)
-
-    def _coerce(self, other):
-        if isinstance(other, TensorElement):
-            if other.alg is not self.alg:
-                raise ValueError("tensors over different algebras")
-            if other.arity != self.arity:
-                raise ValueError("tensor arity mismatch: %d vs %d" % (self.arity, other.arity))
-            return other
-        if isinstance(other, (int, Fraction, Scalar, HbarSeries)):
-            one = (0,) * self.alg.dim
-            c = other if isinstance(other, HbarSeries) else self.ctx.series([other])
-            if c.is_zero:
-                return TensorElement(self.alg, self.arity, {})
-            return TensorElement(self.alg, self.arity, {(one,) * self.arity: c})
-        return None
-
-    # -- linear structure ---------------------------------------------------------
-
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        out = dict(self.terms)
-        for key, c in o.terms.items():
-            _acc(out, key, c)
-        return TensorElement(self.alg, self.arity, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TensorElement(self.alg, self.arity,
-                             {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def scale(self, coeff):
-        c = coeff if isinstance(coeff, HbarSeries) else self.ctx.series([coeff])
-        if c.is_zero:
-            return TensorElement(self.alg, self.arity, {})
-        return TensorElement(self.alg, self.arity,
-                             {k: cv * c for k, cv in self.terms.items()})
+            arity += leg.arity
+        return cls(alg, arity, terms)
 
     # -- multiplication -------------------------------------------------------------
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Scalar, HbarSeries)):
+        if isinstance(other, SCALARS):
             return self.scale(other)
         o = self._coerce(other)
         if o is None:
@@ -137,50 +95,22 @@ class TensorElement:
         return TensorElement(alg, self.arity, out)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, Scalar, HbarSeries)):
+        if isinstance(other, SCALARS):
             return self.scale(other)
         return NotImplemented
 
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        out = TensorElement.unit(self.alg, self.arity)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def inverse(self):
         """Inverse of 1 + O(hbar) via the geometric series, exact under truncation."""
-        one = TensorElement.unit(self.alg, self.arity)
-        t = self - one
-        if any(not c.coeff(0).is_zero for c in t.terms.values()):
+        one = self._unit()
+        if any(not c.coeff(0).is_zero for c in (self - one).terms.values()):
             raise ValueError("tensor inverse implemented only for 1 + O(hbar)")
-        out = one
-        power = one
-        sign = 1
-        for _ in range(self.ctx.order):
-            power = power * t
-            if power.is_zero:
-                break
-            sign = -sign
-            out = out + power.scale(sign)
-        return out
+        return unipotent_inverse(self, one, self.ctx.order)
 
     def exp(self):
         """exp of a tensor with zero hbar-order-0 part (finite by truncation)."""
         if any(not c.coeff(0).is_zero for c in self.terms.values()):
             raise ValueError("tensor exp requires the order-0 part to vanish")
-        one = TensorElement.unit(self.alg, self.arity)
-        out = one
-        p = one
-        fact = 1
-        for k in range(1, self.ctx.order + 1):
-            p = p * self
-            if p.is_zero:
-                break
-            fact *= k
-            out = out + p.scale(Fraction(1, fact))
-        return out
+        return nilpotent_exp(self, self._unit(), self.ctx.order)
 
     # -- leg operations ----------------------------------------------------------------
 
@@ -286,46 +216,22 @@ class TensorElement:
         """Legwise *-involution with conjugated coefficients (no leg reversal)."""
         out = TensorElement.zero(self.alg, self.arity)
         for key, c in self.terms.items():
-            legs = [PBWElement(self.alg, {m: self.ctx.series([1])}).star()
-                    for m in key]
-            piece = TensorElement.from_legs(*legs).scale(c.conjugate())
-            out = out + piece
+            legs = [self.alg.monomial(m).star() for m in key]
+            out = out + TensorElement.from_legs(*legs).scale(c.conjugate())
         return out
 
-    # -- comparison / printing ------------------------------------------------------
-
-    def __eq__(self, other):
-        o = self._coerce(other) if not isinstance(other, TensorElement) else other
-        if not isinstance(o, TensorElement):
-            return NotImplemented
-        return (self.alg is o.alg and self.arity == o.arity and self.terms == o.terms)
-
-    def __hash__(self):
-        return hash((self.arity, frozenset(self.terms.items())))
+    # -- printing ------------------------------------------------------------------
 
     def to_text(self):
         if not self.terms:
             return "0"
-        alg = self.alg
+        names = self.alg.names
         parts = []
         for key in sorted(self.terms, key=lambda k: (tuple(sum(e) for e in k), k)):
-            c = self.terms[key]
-            legs = []
-            for m in key:
-                factors = [alg.names[i] if k == 1 else "%s^%d" % (alg.names[i], k)
-                           for i, k in enumerate(m) if k]
-                legs.append("*".join(factors) if factors else "1")
-            body = " ox ".join(legs)
-            ct = c.to_text()
-            if ct == "1":
-                parts.append("(" + body + ")")
-            else:
-                if ("+" in ct[1:]) or ("-" in ct[1:]) or ("/" in ct) or (" " in ct):
-                    ct = "(" + ct + ")"
-                parts.append(ct + "*(" + body + ")")
+            body = " ox ".join(monomial_text(names, m) or "1" for m in key)
+            ct = self.terms[key].to_text()
+            parts.append("(" + body + ")" if ct == "1"
+                         else wrap_coefficient(ct) + "*(" + body + ")")
         return " + ".join(parts)
 
     __str__ = to_text
-
-    def __repr__(self):
-        return "TensorElement(%s)" % self.to_text()

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .lie import PBWElement
+from .linear import LinearCombination, _acc, nilpotent_log1p, sort_sign
 from .reports import Report
-from .scalars import Scalar
 from .tensors import TensorElement
 
 
@@ -60,8 +59,7 @@ class Twist:
         """Delta_F on a PBW monomial, cached, as an arity-2 term dict."""
         cached = self._delta_cache.get(exps)
         if cached is None:
-            el = PBWElement(self.alg, {exps: self.ctx.series([1])})
-            cached = twisted_coproduct(self, el).terms
+            cached = twisted_coproduct(self, self.alg.monomial(exps)).terms
             self._delta_cache[exps] = cached
         return cached
 
@@ -93,8 +91,7 @@ def abelian_twist(alg, pairs, scale=1):
     arg = TensorElement.zero(alg, 2)
     for ex, ey in elems:
         arg = arg + TensorElement.from_legs(ex, ey)
-    arg = arg.scale(ctx.hbar() * ctx.scalar(scale) if not isinstance(scale, Scalar)
-                    else ctx.hbar() * scale)
+    arg = arg.scale(ctx.hbar() * ctx.scalar(scale))
     return Twist(arg.exp())
 
 
@@ -108,17 +105,9 @@ def jordanian_twist(alg, h="H", e="E", scale=1):
     ee = alg.generator(e) if isinstance(e, str) else e
     if not ((eh * ee - ee * eh) - ee.scale(2)).is_zero:
         raise ValueError("jordanian twist requires [H, E] = 2E")
-    s = scale if isinstance(scale, Scalar) else ctx.scalar(scale)
-    # log(1 + s*hbar*E) = sum_{n>=1} -(-s hbar E)^n / n, finite by truncation
-    log_leg = alg.zero_el()
-    for n in range(1, ctx.order + 1):
-        coeff = ctx.series([0] * n + [(-1) ** (n + 1) * Fraction(1, n)])
-        log_leg = log_leg + (ee ** n).scale(coeff * s ** n)
-    arg = TensorElement.zero(alg, 2)
-    half_h = eh.scale(Fraction(1, 2))
-    for m, c in log_leg.terms.items():
-        arg = arg + TensorElement.from_legs(half_h, PBWElement(alg, {m: c}))
-    return Twist(arg.exp())
+    # log(1 + s*hbar*E) is a finite sum by truncation
+    log_leg = nilpotent_log1p(ee.scale(ctx.hbar() * ctx.scalar(scale)), ctx.order)
+    return Twist(TensorElement.from_legs(eh.scale(Fraction(1, 2)), log_leg).exp())
 
 
 def verify_twist(twist):
@@ -223,10 +212,8 @@ class ClassicalR:
         self.alg = alg
         ctx = alg.ctx
         self.rho = {}
-        for (i, j), v in rho.items():
-            val = v if isinstance(v, Scalar) else ctx.scalar(v)
-            if not val.is_zero:
-                self.rho[(i, j)] = val
+        for key, v in rho.items():
+            _acc(self.rho, key, ctx.scalar(v))
         for (i, j), v in list(self.rho.items()):
             w = self.rho.get((j, i), ctx.zero)
             if w != -v:
@@ -239,9 +226,9 @@ class ClassicalR:
         ctx = alg.ctx
         for (ni, nj), c in entries.items():
             i, j = alg._index[ni], alg._index[nj]
-            cv = c if isinstance(c, Scalar) else ctx.scalar(c)
-            rho[(i, j)] = rho.get((i, j), ctx.zero) + cv
-            rho[(j, i)] = rho.get((j, i), ctx.zero) - cv
+            cv = ctx.scalar(c)
+            _acc(rho, (i, j), cv)
+            _acc(rho, (j, i), -cv)
         return cls(alg, rho)
 
     @property
@@ -287,7 +274,6 @@ def classical_r(twist, normalization="difference"):
     sources use both and the engine does not decide between them.
     """
     alg = twist.alg
-    ctx = alg.ctx
     rt = {}
     for (m1, m2), c in twist.tensor.terms.items():
         c1 = c.coeff(1)
@@ -297,11 +283,11 @@ def classical_r(twist, normalization="difference"):
             raise ValueError("order-1 term of the twist is not in g ox g")
         i = m1.index(1)
         j = m2.index(1)
-        rt[(i, j)] = rt.get((i, j), ctx.zero) + c1
+        _acc(rt, (i, j), c1)
     rho = {}
     for (i, j), v in rt.items():
-        rho[(j, i)] = rho.get((j, i), ctx.zero) + v
-        rho[(i, j)] = rho.get((i, j), ctx.zero) - v
+        _acc(rho, (j, i), v)
+        _acc(rho, (i, j), -v)
     if normalization == "half":
         rho = {k: v * Fraction(1, 2) for k, v in rho.items()}
     elif normalization != "difference":
@@ -314,46 +300,43 @@ def cybe_check(r):
     alg = r.alg
     ctx = alg.ctx
     acc = {}
-
-    def emit(i, j, k, c):
-        if not c.is_zero:
-            key = (i, j, k)
-            acc[key] = acc.get(key, ctx.zero) + c
-
     items = list(r.rho.items())
     for (s1, s2), cs in items:
         for (t1, t2), ct in items:
             c = cs * ct
             for m, bv in alg.bracket(s1, t1).items():
-                emit(m, s2, t2, c * bv)
+                _acc(acc, (m, s2, t2), c * bv)
             for m, bv in alg.bracket(s2, t1).items():
-                emit(s1, m, t2, c * bv)
+                _acc(acc, (s1, m, t2), c * bv)
             for m, bv in alg.bracket(s2, t2).items():
-                emit(s1, t1, m, c * bv)
-    out = TensorElement.zero(alg, 3)
-    terms = {}
-    for (i, j, k), c in acc.items():
-        if c.is_zero:
-            continue
-        key = []
-        for idx in (i, j, k):
-            e = [0] * alg.dim
-            e[idx] = 1
-            key.append(tuple(e))
-        terms[tuple(key)] = ctx.series([c])
-    return TensorElement(alg, 3, terms)
+                _acc(acc, (s1, t1, m), c * bv)
+    # the PBW exponent tuple of each basis letter
+    letters = [tuple(int(k == idx) for k in range(alg.dim)) for idx in range(alg.dim)]
+    return TensorElement(alg, 3, {tuple(letters[idx] for idx in key): ctx.series([c])
+                                  for key, c in acc.items()})
 
 
-class Wedge3:
+class Wedge3(LinearCombination):
     """Element of Lambda^3 g with Scalar coefficients (CYBE residual carrier)."""
+
+    __slots__ = ("alg",)
 
     def __init__(self, alg, terms):
         self.alg = alg
-        self.terms = {k: v for k, v in terms.items() if not v.is_zero}
+        self.terms = terms
 
     @property
-    def is_zero(self):
-        return not self.terms
+    def ctx(self):
+        return self.alg.ctx
+
+    def _like(self, terms):
+        return Wedge3(self.alg, terms)
+
+    def _space(self):
+        return self.alg
+
+    def _zero_coeff(self):
+        return self.ctx.zero
 
     def to_text(self):
         if not self.terms:
@@ -366,22 +349,12 @@ class Wedge3:
 def schouten_square(r):
     """[[r, r]] in Lambda^3 g via the exterior-algebra Gerstenhaber bracket."""
     alg = r.alg
-    ctx = alg.ctx
     acc = {}
 
     def emit(i, j, k, c):
-        idx = (i, j, k)
-        if i == j or j == k or i == k or c.is_zero:
-            return
-        order = tuple(sorted(idx))
-        # sign of the permutation sorting (i, j, k)
-        perm = [idx.index(o) for o in order]
-        sign = 1
-        for x in range(3):
-            for y in range(x + 1, 3):
-                if perm[x] > perm[y]:
-                    sign = -sign
-        acc[order] = acc.get(order, ctx.zero) + c * sign
+        key, sign = sort_sign((i, j, k))
+        if sign:
+            _acc(acc, key, c * sign)
 
     wedges = [((i, j), c) for (i, j), c in r.rho.items() if i < j]
     for (x1, x2), cx in wedges:

@@ -203,6 +203,31 @@ def test_cli_bad_operands_exit_2(capsys):
     assert all(line.startswith("error: ") for line in err)
 
 
+def test_cli_twist_options_without_twist_exit_2(capsys):
+    assert main(["star", "--scale", "5", "x1", "x2"]) == 2
+    assert main(["star", "--generators", "H Ep", "x1", "x2"]) == 2
+    assert main(["verify-twist", "--scale", "i"]) == 2
+    # a scale that is not a scalar is a usage error, not a traceback
+    assert main(["star", "--twist", "jordanian", "--scale", "hbar", "x1", "x2"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 4
+    assert all(line.startswith("error: ") for line in err)
+    assert "--twist" in err[0] and "--twist" in err[1]
+
+
+def test_cli_bounds_that_empty_a_report_exit_2(capsys):
+    for argv in (["verify-hopf", "--degree", "-1"],
+                 ["submanifold", "--samples", "-3"],
+                 ["submanifold", "--samples", "0"],
+                 ["hyperboloid", "--samples", "-2"]):
+        assert main(argv) == 2, argv
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 4
+    assert all(line.startswith("error: ") for line in err)
+    assert main(["verify-hopf", "--degree", "0"]) == 0
+    assert "PASS" in capsys.readouterr().out
+
+
 def test_cli_dependent_radicals_exit_2(tmp_path, capsys):
     cfg = tmp_path / "radicals.cfg"
     cfg.write_text("[scalars]\nparams: a\nradical: sqrt(a)^2 = a\nradical: sqrt(b)^2 = a\n")

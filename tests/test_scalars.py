@@ -7,6 +7,10 @@ from fractions import Fraction
 import pytest
 
 from twistcalc import Context, NonUnitError, TruncationMismatch
+from twistcalc.lie import sl2
+from twistcalc.linear import nilpotent_exp, nilpotent_log1p
+from twistcalc.tensors import TensorElement
+from twistcalc.twists import Wedge3
 
 
 def rand_scalar(ctx, rng, depth=2):
@@ -199,7 +203,7 @@ def test_series_inverse_errors(ctx):
         ctx.hbar().inverse()
 
 
-def test_exp_log_pair(ctx):
+def test_exp_log_pair(ctx, model):
     assert ctx.series_zero().exp() == ctx.series_one()
     u = ctx.hbar() * ctx.i
     expected = ctx.series([0, ctx.i, Fraction(1, 2), -ctx.i * Fraction(1, 3),
@@ -210,6 +214,51 @@ def test_exp_log_pair(ctx):
         v = ctx.series([0] + [rand_scalar(ctx, rng, 1) for _ in range(4)])
         assert v.log1p().exp() == ctx.series_one() + v
         assert (v.exp() - ctx.series_one()).log1p() == v
+    # the same routines on the noncommutative containers, at two orders
+    for order in (4, 6):
+        c = Context(order=order)
+        g = sl2(c)
+        E, F, H = (g.generator(n) for n in ("E", "F", "H"))
+        h = c.hbar()
+        pbw = (E.scale(rng.randint(1, 3)) + H.scale(c.i)).scale(h) \
+            + (F * E).scale(h * h * rng.randint(1, 3))
+        tensor = TensorElement.from_legs(H, E).scale(h * c.i) \
+            + TensorElement.from_legs(F, g.unit()).scale(h * h * rng.randint(1, 3))
+        for u, one in ((pbw, g.unit()), (tensor, TensorElement.unit(g, 2))):
+            assert nilpotent_log1p(nilpotent_exp(u, one, order) - one, order) == u
+            assert nilpotent_exp(nilpotent_log1p(u, order), one, order) == one + u
+        assert tensor.exp() == nilpotent_exp(tensor, TensorElement.unit(g, 2), order)
+        assert tensor.exp() * tensor.exp().inverse() == 1
+    twist = model.twist.tensor   # the Jordanian twist of the hyperboloid
+    assert twist * twist.inverse() == 1
+    assert twist.inverse() * twist == 1
+
+
+def test_linear_laws_on_every_container(ctx, model):
+    """x - x and x.scale(0) are zero and equal elements hash equal, for each
+    sparse container."""
+    g = sl2(ctx)
+    E, H = g.generator("E"), g.generator("H")
+    x1, x2 = model.x[0], model.x[1]
+    dx = [model.chart.basis_form(k) for k in range(3)]
+    mv = model.real.field("E").to_multivector()
+
+    def builds():
+        yield lambda: E * H + E.scale(ctx.i)
+        yield lambda: TensorElement.from_legs(H, E).scale(ctx.hbar()) + 1
+        yield lambda: x1 * x2 * model.ctx.param("a") + x2
+        yield lambda: mv.wedge(model.real.field("H").to_multivector())
+        yield lambda: dx[0].wedge(dx[2]).scale(x1) + dx[1]
+        yield lambda: Wedge3(g, {(0, 1, 2): ctx.rational(3, 2)})
+
+    for build in builds():
+        x, y = build(), build()
+        assert not x.is_zero
+        assert (x - x).is_zero
+        assert x.scale(0).is_zero
+        assert x == y and x is not y
+        assert hash(x) == hash(y)
+        assert x + x == x.scale(2)
 
 
 def test_exp_requires_zero_constant_term(ctx):

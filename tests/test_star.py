@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from twistcalc import Context
 from twistcalc.geometry import CoordSystem, MultiVector, PolyFunction
-from twistcalc.lie import abelian, so21
+from twistcalc.lie import abelian, sl2, so21
 from twistcalc.starcalc import (ConstantPoisson, TwistedCalculus, gutt_chart,
                                 gutt_star, hbar_coefficient, mod_hbar,
                                 moyal_setup, moyal_star, poisson_from_r)
@@ -317,6 +318,26 @@ def test_gutt_star(plain_ctx, so21_alg):
     # antisymmetrized: H star E - E star H = hbar (2E)^
     comm = gutt_star(g, xhat, yhat) - gutt_star(g, yhat, xhat)
     assert comm == yhat * (h * 2)
+
+
+@pytest.mark.xfail(strict=True,
+                   reason="HbarSeries.divide_hbar zero-fills the top orders, so "
+                          "unsymmetrize silently drops what truncation pushed out "
+                          "and order 4 returns 0 (ROADMAP 3b)")
+def test_gutt_star_truncation_loses_no_terms():
+    # E^2*H star F^2 at order 4 must be the order-6 product truncated to hbar^4
+    def gutt(order, bound):
+        g = sl2(Context(order=order))
+        chart = gutt_chart(g)
+        e, f, h = (chart.coordinate(k) for k in range(3))
+        out = gutt_star(g, e * e * h, f * f, degree_bound=bound)
+        truncated = {m: tuple(cn.to_text() for cn in c.coeffs[:5])
+                     for m, c in out.terms.items()}
+        return {m: cs for m, cs in truncated.items() if set(cs) != {"0"}}
+
+    reference = gutt(6, 6)
+    assert reference   # E^2*F^2*H - 2*hbar*E^2*F^2 + ...
+    assert gutt(4, 4) == reference
 
 
 def test_gutt_star_degree_two_graded(plain_ctx, so21_alg):
