@@ -239,47 +239,37 @@ def levi_civita_report(conn, metric):
 
 def _braided_bracket(real, rinv, x, y):
     """[X, Y]_R = X Y - (R1^{-1}|>Y)(R2^{-1}|>X) as a vector field."""
-    chart = real.chart
     if rinv is None:
         return x.bracket(y)
-    comps = []
-    for k in range(chart.dim):
-        xk = chart.coordinate(k)
-        acc = x.apply(y.apply(xk))
-        for (m1, m2), c in rinv.terms.items():
-            yb = real.act_monomial(m1, y)
-            xb = real.act_monomial(m2, x)
-            acc = acc - yb.apply(xb.apply(xk)) * c
-        comps.append(acc)
-    return VectorField(chart, comps)
+    return _compose(x, y) - real.contract(rinv, y, x, _compose)
+
+
+def _compose(x, y):
+    """The second-order operator X Y as its values on the coordinates."""
+    chart = x.chart
+    return VectorField(chart, [x.apply(y.apply(chart.coordinate(k)))
+                               for k in range(chart.dim)])
 
 
 def curvature(conn, real, x, y, z, rinv=None):
     """R(X,Y)Z = nab_X nab_Y Z - nab_{R1|>Y} nab_{R2|>X} Z - nab_{[X,Y]_R} Z."""
-    chart = conn.chart
     out = conn.nabla(x, conn.nabla(y, z))
     if rinv is None:
         out = out - conn.nabla(y, conn.nabla(x, z))
     else:
-        for (m1, m2), c in rinv.terms.items():
-            yb = real.act_monomial(m1, y)
-            xb = real.act_monomial(m2, x)
-            out = out - conn.nabla(yb, conn.nabla(xb, z)).scale(chart.constant(1) * c)
+        out = out - real.contract(rinv, y, x,
+                                  lambda yb, xb: conn.nabla(yb, conn.nabla(xb, z)))
     out = out - conn.nabla(_braided_bracket(real, rinv, x, y), z)
     return out
 
 
 def torsion(conn, real, x, y, rinv=None):
     """Tor(X,Y) = nab_X Y - nab_{R1|>Y}(R2|>X) - [X,Y]_R."""
-    chart = conn.chart
     out = conn.nabla(x, y)
     if rinv is None:
         out = out - conn.nabla(y, x)
     else:
-        for (m1, m2), c in rinv.terms.items():
-            yb = real.act_monomial(m1, y)
-            xb = real.act_monomial(m2, x)
-            out = out - conn.nabla(yb, xb).scale(chart.constant(1) * c)
+        out = out - real.contract(rinv, y, x, conn.nabla)
     out = out - _braided_bracket(real, rinv, x, y)
     return out
 
@@ -289,14 +279,8 @@ def torsion(conn, real, x, y, rinv=None):
 
 def twist_nabla(real, twist, conn, x, y):
     """nab^F_X Y = nab_{F1^{-1}|>X}(F2^{-1}|>Y)."""
-    chart = conn.chart
-    out = None
-    for (m1, m2), c in twist.inv.terms.items():
-        xb = real.act_monomial(m1, x)
-        yb = real.act_monomial(m2, y)
-        piece = conn.nabla(xb, yb).scale(chart.constant(1) * c)
-        out = piece if out is None else out + piece
-    return out if out is not None else chart.zero_vf()
+    out = real.contract(twist.inv, x, y, conn.nabla)
+    return out if out is not None else conn.chart.zero_vf()
 
 
 class TwistedMetric:
@@ -309,12 +293,7 @@ class TwistedMetric:
         self.chart = metric.chart
 
     def eval(self, x, y):
-        out = self.chart.zero_fn()
-        for (m1, m2), c in self.twist.inv.terms.items():
-            xb = self.real.act_monomial(m1, x)
-            yb = self.real.act_monomial(m2, y)
-            out = out + self.metric.eval(xb, yb) * c
-        return out
+        return self.real.contract(self.twist.inv, x, y, self.metric.eval)
 
 
 def connection_report(real, twist, conn, metric, frame=None):
@@ -355,20 +334,12 @@ def connection_report(real, twist, conn, metric, frame=None):
             gf_cache[key] = out
         return out
 
-    def lie_fn(x, f):
-        out = chart.zero_fn()
-        for (m1, m2), c in twist.inv.terms.items():
-            xb = real.act_monomial(m1, x)
-            fb = real.act_monomial(m2, f)
-            out = out + xb.apply(fb) * c
-        return out
-
     def compat():
         res = chart.zero_fn()
         for x in frame:
             for y in frame:
                 for z in frame:
-                    lhs = lie_fn(x, geval(y, z))
+                    lhs = real.contract(twist.inv, x, geval(y, z), VectorField.apply)
                     lhs = lhs - geval(nabF(x, y), z)
                     for (m1, m2), c in rm.inv.terms.items():
                         yb = real.act_monomial(m1, y)
@@ -381,31 +352,15 @@ def connection_report(real, twist, conn, metric, frame=None):
         res = chart.zero_vf()
         for x in frame:
             for y in frame:
-                t = nabF(x, y)
-                for (m1, m2), c in rm.inv.terms.items():
-                    yb = real.act_monomial(m1, y)
-                    xb = real.act_monomial(m2, x)
-                    t = t - nabF(yb, xb).scale(chart.constant(1) * c)
-                t = t - _braided_twisted_bracket(real, twist, rm, x, y)
+                # [X, Y]_{R_F}: the twisted Schouten bracket in degree one
+                t = (nabF(x, y) - real.contract(rm.inv, y, x, nabF)
+                     - real.contract(twist.inv, x, y, VectorField.bracket))
                 res = res + t
         return res
 
     rep.run("braided metric compatibility", compat)
     rep.run("braided torsion-freeness", braided_torsion)
     return rep
-
-
-def _braided_twisted_bracket(real, twist, rm, x, y):
-    """[X, Y]_{R_F} on the twisted algebra: the twisted Schouten bracket in
-    degree one, computed through the inverse twist."""
-    chart = real.chart
-    comps = [chart.zero_fn()] * chart.dim
-    out = VectorField(chart, comps)
-    for (m1, m2), c in twist.inv.terms.items():
-        xb = real.act_monomial(m1, x)
-        yb = real.act_monomial(m2, y)
-        out = out + xb.bracket(yb).scale(chart.constant(1) * c)
-    return out
 
 
 def equivariance_report(real, conn):

@@ -171,12 +171,11 @@ def parse_expr(text, env):
 def _add(a, b):
     if isinstance(a, int) and isinstance(b, int):
         return a + b
-    if isinstance(a, SCALARS) and not isinstance(b, SCALARS):
-        return b + a
-    out = a + b
-    if out is NotImplemented:
-        raise ParseError("cannot add %s and %s" % (type(a).__name__, type(b).__name__))
-    return out
+    try:
+        return b + a if isinstance(a, SCALARS) and not isinstance(b, SCALARS) else a + b
+    except TypeError as exc:
+        raise ParseError("cannot add %s and %s"
+                         % (type(a).__name__, type(b).__name__)) from exc
 
 
 def _neg(a):
@@ -184,13 +183,11 @@ def _neg(a):
 
 
 def _mul(a, b):
-    if isinstance(a, SCALARS) and not isinstance(b, SCALARS):
-        return b * a
-    out = a * b
-    if out is NotImplemented:
+    try:
+        return b * a if isinstance(a, SCALARS) and not isinstance(b, SCALARS) else a * b
+    except TypeError as exc:
         raise ParseError("cannot multiply %s and %s"
-                         % (type(a).__name__, type(b).__name__))
-    return out
+                         % (type(a).__name__, type(b).__name__)) from exc
 
 
 def _div(a, b, pos=None):

@@ -489,16 +489,20 @@ class Realization:
         raise TypeError("cannot act on %r" % (obj,))
 
     def act_monomial(self, exps, obj):
+        """X_{i1} ... X_{ik} |> obj for a PBW monomial: its leading letter acting
+        on the memoised action of the rest, so every suffix is acted once."""
         key = (exps, obj)
         out = self._act_cache.get(key)
-        if out is not None:
-            return out
-        word = self.alg.word_of(exps)
-        acted = obj
-        for letter in reversed(word):
-            acted = self._act_letter(letter, acted)
-        self._act_cache[key] = acted
-        return acted
+        if out is None:
+            for i, e in enumerate(exps):
+                if e:
+                    break
+            else:
+                return obj
+            rest = exps[:i] + (e - 1,) + exps[i + 1:]
+            out = self._act_letter(i, self.act_monomial(rest, obj))
+            self._act_cache[key] = out
+        return out
 
     def act(self, el, obj):
         """Action of a PBW element; on the unit monomial it is epsilon-scaling."""
@@ -520,10 +524,18 @@ class Realization:
             return MultiVector.zero(self.chart)
         return DiffForm.zero(self.chart)
 
-    def act_pair(self, tensor, first, second):
-        """Legwise action of an arity-2 tensor: returns list of
-        (coefficient, acted_first, acted_second) triples."""
-        out = []
+    def contract(self, tensor, first, second, combine):
+        """sum over the terms c*(m1 ox m2) of an arity-2 tensor of
+        c*combine(m1 |> first, m2 |> second); None for the zero tensor.
+
+        combine is bilinear over hbar-series constants, so the second legs
+        that share a first leg are summed before one combine."""
+        legs = {}
         for (m1, m2), c in tensor.terms.items():
-            out.append((c, self.act_monomial(m1, first), self.act_monomial(m2, second)))
+            piece = self.act_monomial(m2, second).scale(c)
+            legs[m1] = legs[m1] + piece if m1 in legs else piece
+        out = None
+        for m1, acted in legs.items():
+            piece = combine(self.act_monomial(m1, first), acted)
+            out = piece if out is None else out + piece
         return out

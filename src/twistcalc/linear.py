@@ -41,7 +41,7 @@ class LinearCombination:
     subclass's own.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_hash")
 
     def _like(self, terms):
         raise NotImplementedError
@@ -139,7 +139,13 @@ class LinearCombination:
         return self._space() == other._space() and self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        # containers are never mutated after construction, so the hash of a
+        # memo key is computed once
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash(frozenset(self.terms.items()))
+            return self._hash
 
     def __repr__(self):
         return "%s(%s)" % (type(self).__name__, self.to_text())

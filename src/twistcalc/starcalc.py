@@ -24,7 +24,9 @@ from .twists import Twist, check_unitary, r_matrix
 class TwistedCalculus:
     """Star product and twisted Cartan operators for (realization, twist).
 
-    Heavily repeated monomial actions are memoized; all results are exact.
+    Each operation is Realization.contract of the inverse twist (or of the
+    inverse R-matrix); twisted Lie derivatives and insertions are memoized.
+    All results are exact.
     """
 
     def __init__(self, real, twist):
@@ -34,46 +36,26 @@ class TwistedCalculus:
         self.twist = twist
         self.chart = real.chart
         self.rmatrix = r_matrix(twist)
-        self._act_cache = {}
         self._op_cache = {}
         self._unitary = None
-
-    # -- cached monomial action -------------------------------------------------
-
-    def _act(self, exps, obj):
-        key = (exps, obj)
-        out = self._act_cache.get(key)
-        if out is None:
-            out = self.real.act_monomial(exps, obj)
-            self._act_cache[key] = out
-        return out
-
-    def _pairwise(self, tensor, first, second, combine):
-        """sum over tensor terms of coeff * combine(m1 |> first, m2 |> second)."""
-        out = None
-        for (m1, m2), c in tensor.terms.items():
-            piece = combine(self._act(m1, first), self._act(m2, second))
-            piece = piece.scale(c)
-            out = piece if out is None else out + piece
-        return out
 
     # -- star product --------------------------------------------------------------
 
     def star(self, f, g):
         """f star g = mu(F^{-1} |> (f ox g))."""
-        out = self._pairwise(self.twist.inv, f, g, lambda u, v: u * v)
+        out = self.real.contract(self.twist.inv, f, g, lambda u, v: u * v)
         return self.chart.zero_fn() if out is None else out
 
     def braided_opposite(self, f, g):
         """(R_F1^{-1} |> f) star (R_F2^{-1} |> g); equals g star f."""
-        out = self._pairwise(self.rmatrix.inv, f, g, self.star)
+        out = self.real.contract(self.rmatrix.inv, f, g, self.star)
         return self.chart.zero_fn() if out is None else out
 
     # -- twisted graded operations ---------------------------------------------------
 
     def wedge(self, aa, bb):
         """Twisted wedge of two multivectors or two forms."""
-        return self._pairwise(self.twist.inv, aa, bb, lambda u, v: u.wedge(v))
+        return self.real.contract(self.twist.inv, aa, bb, lambda u, v: u.wedge(v))
 
     def schouten(self, x, y):
         """Twisted Schouten bracket [[F1^{-1}|>X, F2^{-1}|>Y]]."""
@@ -81,7 +63,7 @@ class TwistedCalculus:
             x = x.to_multivector()
         if isinstance(y, VectorField):
             y = y.to_multivector()
-        return self._pairwise(self.twist.inv, x, y, schouten)
+        return self.real.contract(self.twist.inv, x, y, schouten)
 
     def lie(self, x, omega):
         """Twisted Lie derivative L_{F1^{-1}|>X}(F2^{-1}|>omega)."""
@@ -90,7 +72,7 @@ class TwistedCalculus:
         key = ("L", x, omega)
         out = self._op_cache.get(key)
         if out is None:
-            out = self._pairwise(self.twist.inv, x, omega, lie_form)
+            out = self.real.contract(self.twist.inv, x, omega, lie_form)
             self._op_cache[key] = out
         return out
 
@@ -101,7 +83,7 @@ class TwistedCalculus:
         key = ("i", x, omega)
         out = self._op_cache.get(key)
         if out is None:
-            out = self._pairwise(self.twist.inv, x, omega, insert)
+            out = self.real.contract(self.twist.inv, x, omega, insert)
             self._op_cache[key] = out
         return out
 
@@ -111,8 +93,7 @@ class TwistedCalculus:
 
     def lie_fn(self, x, f):
         """Twisted Lie derivative of a function: (F1^{-1}|>X)(F2^{-1}|>f)."""
-        out = self._pairwise(self.twist.inv, x, f,
-                             lambda u, v: u.apply(v))
+        out = self.real.contract(self.twist.inv, x, f, VectorField.apply)
         return self.chart.zero_fn() if out is None else out
 
     # -- twisted involution -----------------------------------------------------------
@@ -153,13 +134,9 @@ class TwistedCalculus:
         kind_b, y, l = op_b
         lhs = self._apply_op(kind_a, x, self._apply_op(kind_b, y, omega))
         sign = -1 if (self._op_degree(kind_a, k) * self._op_degree(kind_b, l)) % 2 else 1
-        rhs = None
-        for (m1, m2), c in self.rmatrix.inv.terms.items():
-            yb = self._act(m1, y)
-            xb = self._act(m2, x)
-            piece = self._apply_op(kind_b, yb, self._apply_op(kind_a, xb, omega))
-            piece = piece.scale(c)
-            rhs = piece if rhs is None else rhs + piece
+        rhs = self.real.contract(
+            self.rmatrix.inv, y, x,
+            lambda yb, xb: self._apply_op(kind_b, yb, self._apply_op(kind_a, xb, omega)))
         if rhs is None:
             rhs = DiffForm.zero(self.chart)
         return lhs - rhs.scale(self.chart.constant(sign))

@@ -1,14 +1,16 @@
 """Classical Cartan calculus, Hopf actions and *-involutions on R^3."""
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
+from twistcalc.connections import Connection
 from twistcalc.geometry import (CoordSystem, DiffForm, MultiVector,
                                 PolyFunction, Realization, VectorField,
                                 exterior_derivative as d, insert, insert_field,
                                 lie_form, pairing, schouten)
+from twistcalc.hyperboloid import HyperboloidModel
 
 
 def sgn(e):
@@ -266,3 +268,65 @@ def test_field_star_law(chart, rng):
     x = VectorField(chart, tuple(rand_fn(chart, rng, 1) for _ in range(3)))
     f = rand_fn(chart, rng) * chart.ctx.i
     assert x.star().apply(f) == -(x.apply(f.star()).star())
+
+
+def test_act_monomial_matches_the_word(model):
+    # the suffix-memoised action equals the PBW word applied letter by letter
+    real = Realization(model.alg, model.chart, model.real.fields)   # cold cache
+    chart = model.chart
+    x1, x2, x3 = model.x
+    f = x1 * x3 + x2 * x2 * model.sqrt_a + chart.constant(model.c)
+    mv = model.E.to_multivector().wedge(chart.coordinate_field(2).to_multivector())
+    form = chart.basis_form(0).wedge(chart.basis_form(1)).scale(x3) \
+        + chart.basis_form(2).scale(x2 * model.ctx.i)
+    monomials = [e for e in product(range(5), repeat=3) if sum(e) <= 4]
+    assert (1, 1, 1) in monomials and (2, 1, 1) in monomials and len(monomials) == 35
+
+    def by_word(exps, obj):
+        for letter in reversed(model.alg.word_of(exps)):
+            obj = real._act_letter(letter, obj)
+        return obj
+
+    for obj in (f, model.Ep, mv, form):
+        for exps in monomials:
+            assert real.act_monomial(exps, obj) == by_word(exps, obj), (exps, obj)
+
+
+@pytest.fixture(scope="module")
+def model3():
+    return HyperboloidModel(order=3)
+
+
+def test_contract_matches_per_term_sum(model3):
+    # grouping by first leg gives the plain sum over F^{-1} and R^{-1}
+    m = model3
+    real, chart = m.real, m.chart
+    x1, x2, x3 = m.x
+    i = m.ctx.i
+    f = x1 * x3 + x2 * x2 * m.sqrt_a
+    g = x2 + x1 * x1 * i
+    xa = m.E.scale(x2) + m.H
+    xb = m.Ep + chart.coordinate_field(1).scale(x1)
+    mv1 = xa.to_multivector()
+    mv2 = m.Ep.to_multivector().wedge(chart.coordinate_field(0).to_multivector())
+    w1 = chart.basis_form(0).scale(x3) + chart.basis_form(1).scale(x2 * i)
+    w2 = chart.basis_form(1).wedge(chart.basis_form(2)).scale(x1)
+    conn = Connection(chart, {(0, 1, 2): x1, (2, 2, 0): chart.constant(m.sqrt_a)})
+    cases = [(lambda u, v: u * v, f, g),
+             (lambda u, v: u.wedge(v), mv1, mv2),
+             (lambda u, v: u.wedge(v), w1, w2),
+             (schouten, mv1, mv2),
+             (lie_form, mv1, w2),
+             (insert, mv2, w2),
+             (VectorField.apply, xa, f),
+             (VectorField.bracket, xa, xb),
+             (conn.nabla, xa, xb),
+             (m.metric.eval, xa, xb)]
+    for tensor in (m.twist.inv, m.calc.rmatrix.inv):
+        for combine, first, second in cases:
+            ref = None
+            for (m1, m2), c in tensor.terms.items():
+                piece = combine(real.act_monomial(m1, first),
+                                real.act_monomial(m2, second)).scale(c)
+                ref = piece if ref is None else ref + piece
+            assert real.contract(tensor, first, second, combine) == ref

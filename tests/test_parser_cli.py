@@ -198,9 +198,14 @@ def test_cli_usage_error_exit_2(capsys):
 def test_cli_bad_operands_exit_2(capsys):
     assert main(["star", "1/0", "x1"]) == 2
     assert main(["star", "sqrt(a)", "Ep"]) == 2
+    # a polynomial meeting an algebra element is a type clash, not a traceback
+    assert main(["star", "x1*H", "x2"]) == 2
+    assert main(["star", "x1+H", "x2"]) == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 2
+    assert len(err) == 4
     assert all(line.startswith("error: ") for line in err)
+    assert "multiply PolyFunction and PBWElement" in err[2]
+    assert "add PolyFunction and PBWElement" in err[3]
 
 
 def test_cli_twist_options_without_twist_exit_2(capsys):

@@ -395,3 +395,37 @@ def test_correspondence_principle(model):
             assert hbar_coefficient(comm, 0).is_zero
             lhs = hbar_coefficient(comm, 1)
             assert lhs == poisson_from_r(model.real, r, f, g)
+
+
+def _hbar_texts(obj, n):
+    """The hbar^n coefficient of a function, or of each component of a graded element."""
+    if isinstance(obj, PolyFunction):
+        return hbar_coefficient(obj, n).to_text()
+    return {k: hbar_coefficient(v, n).to_text() for k, v in obj.terms.items()
+            if not hbar_coefficient(v, n).is_zero}
+
+
+def _cross_order_results(m):
+    calc, chart = m.calc, m.chart
+    x = m.x
+    e = m.E.to_multivector()
+    h = m.H.to_multivector()
+    y = m.Ep.to_multivector().wedge(chart.coordinate_field(0).to_multivector()).scale(x[2])
+    omega = chart.basis_form(0).wedge(chart.basis_form(1)).scale(x[2] * x[2]) \
+        + chart.basis_form(2).scale(x[0])
+    out = [calc.star(x[i], x[j]) for i in range(3) for j in range(3)]
+    out.append(calc.wedge(e, y))
+    out.append(calc.insert(y, omega))
+    out.append(calc.braided_commutator(("L", e, 1), ("i", h, 1), omega))
+    return out
+
+
+def test_results_agree_across_orders(model):
+    # the coefficients of hbar^0..hbar^4 do not depend on the truncation order
+    from twistcalc.hyperboloid import HyperboloidModel
+    low = _cross_order_results(model)
+    high = _cross_order_results(HyperboloidModel(order=6))
+    assert len(low) == len(high) == 12
+    for a, b in zip(low, high):
+        for n in range(5):
+            assert _hbar_texts(a, n) == _hbar_texts(b, n), (n, a, b)
