@@ -128,6 +128,21 @@ class LiePresentation:
             word.extend([i] * k)
         return tuple(word)
 
+    def legwise_product(self, ka, kb):
+        """Structure constants of the legwise product of two tuples of PBW
+        monomials, as dict[tuple of exps -> Scalar]; a unit leg passes the
+        other monomial through."""
+        partial = {(): self.ctx.one}
+        for ma, mb in zip(ka, kb):
+            if not (any(ma) and any(mb)):
+                m = ma if any(ma) else mb
+                partial = {key + (m,): s for key, s in partial.items()}
+            else:
+                nf = self.normal_word(self.word_of(ma) + self.word_of(mb))
+                partial = {key + (m,): s * sv
+                           for key, s in partial.items() for m, sv in nf.items()}
+        return partial
+
     # -- element constructors --------------------------------------------------
 
     def zero_el(self):

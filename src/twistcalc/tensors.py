@@ -73,26 +73,17 @@ class TensorElement(LinearCombination):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        alg = self.alg
+        legwise = self.alg.legwise_product
         out = {}
         for ka, ca in self.terms.items():
             for kb, cb in o.terms.items():
                 c = ca * cb
                 if c.is_zero:
                     continue
-                # legwise PBW products; distribute over the normal forms
-                partial = {(): c}
-                for leg in range(self.arity):
-                    word = alg.word_of(ka[leg]) + alg.word_of(kb[leg])
-                    nf = alg.normal_word(word)
-                    new = {}
-                    for key, cv in partial.items():
-                        for m, sv in nf.items():
-                            _acc(new, key + (m,), cv * sv)
-                    partial = new
-                for key, cv in partial.items():
-                    _acc(out, key, cv)
-        return TensorElement(alg, self.arity, out)
+                # scalar structure constants first, one series scaling per key
+                for key, s in legwise(ka, kb).items():
+                    _acc(out, key, c if s.is_one else c * s)
+        return TensorElement(self.alg, self.arity, out)
 
     def __rmul__(self, other):
         if isinstance(other, SCALARS):

@@ -2,7 +2,10 @@
 
 import random
 
+from twistcalc.lie import so21
+from twistcalc.linear import _acc
 from twistcalc.tensors import TensorElement
+from twistcalc.twists import jordanian_twist, r_matrix
 
 
 def test_unit_absorbs(so21_alg):
@@ -103,3 +106,55 @@ def test_exp_inverse(so21_alg):
     f = arg.exp()
     assert f * f.inverse() == TensorElement.unit(g, 2)
     assert f.inverse() * f == TensorElement.unit(g, 2)
+
+
+def _per_leg_product(a, b):
+    """The tensor product as a per-leg loop that carries the series through
+    every leg's normal form: the reference for the scalar-first product."""
+    alg = a.alg
+    out = {}
+    for ka, ca in a.terms.items():
+        for kb, cb in b.terms.items():
+            c = ca * cb
+            if c.is_zero:
+                continue
+            partial = {(): c}
+            for leg in range(a.arity):
+                nf = alg.normal_word(alg.word_of(ka[leg]) + alg.word_of(kb[leg]))
+                new = {}
+                for key, cv in partial.items():
+                    for m, sv in nf.items():
+                        _acc(new, key + (m,), cv * sv)
+                partial = new
+            for key, cv in partial.items():
+                _acc(out, key, cv)
+    return TensorElement(alg, a.arity, out)
+
+
+def _random_tensor(g, arity, coeffs, rng, terms=4):
+    out = TensorElement.zero(g, arity)
+    for _ in range(terms):
+        legs = [g.monomial(tuple(rng.randint(0, 2) for _ in range(3)))
+                for _ in range(arity)]
+        out = out + TensorElement.from_legs(*legs).scale(rng.choice(coeffs))
+    return out
+
+
+def test_product_matches_per_leg_loop(ctx):
+    g = so21(ctx)
+    h = ctx.hbar()
+    coeffs = [ctx.param("a"), ctx.radical("sqrt(a)"), 1 + h + h * h,
+              ctx.i * ctx.param("c") * h, ctx.scalar(-3)]
+    rng = random.Random(17)
+    pairs = []
+    for arity in (1, 2, 3):
+        for _ in range(3):
+            pairs.append((_random_tensor(g, arity, coeffs, rng),
+                          _random_tensor(g, arity, coeffs, rng)))
+    r = r_matrix(jordanian_twist(g, scale=ctx.i)).tensor
+    r12, r13, r23 = (r.leg_embed(p, 3) for p in ((1, 2), (1, 3), (2, 3)))
+    s = r.scale(1 + h + h * h)
+    pairs += [(r12, r13), (r13, r23), (r12 * r13, r23), (r, s), (s, r.flip()),
+              (s.leg_embed((1, 3), 3), _random_tensor(g, 3, coeffs, rng))]
+    for a, b in pairs:
+        assert a * b == _per_leg_product(a, b)

@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+from twistcalc import Context
 from twistcalc.lie import abelian, so21
+from twistcalc.starcalc import hbar_coefficient
 from twistcalc.tensors import TensorElement
 from twistcalc.twists import (ClassicalR, Twist, abelian_twist,
                               check_unitary, classical_r, compose_twists,
@@ -303,3 +305,48 @@ def test_classical_r_rejects_higher_degree(plain_ctx, so21_alg):
     twist_like = Twist(bad, check=False)
     with pytest.raises(ValueError):
         classical_r(twist_like)
+
+
+@pytest.mark.parametrize("kind", ["jordanian", "abelian"])
+def test_delta_f_on_leg_matches_per_monomial_splice(kind):
+    ctx = Context(order=3)
+    g = so21(ctx)
+    if kind == "jordanian":
+        tw = jordanian_twist(g, scale=ctx.i)
+    else:
+        tw = abelian_twist(g, [("H", "H")], scale=ctx.i)
+
+    def splice(t, leg):
+        return t.expand_leg(
+            leg, lambda m: twisted_coproduct(tw, g.monomial(m)).terms, 2)
+
+    r = r_matrix(tw).tensor
+    rng = random.Random(23)
+    t3 = TensorElement.zero(g, 3)
+    for _ in range(5):
+        legs = [g.monomial(tuple(rng.randint(0, 1) for _ in range(3))) for _ in range(3)]
+        t3 = t3 + TensorElement.from_legs(*legs).scale(rng.choice([1, -2, ctx.i]))
+    for t, legs in ((r, (1, 2)), (t3, (2, 3))):
+        for leg in legs:
+            assert tw.delta_f_on_leg(t, leg) == splice(t, leg)
+
+
+def test_twisted_maps_agree_across_orders():
+    # the coefficients of hbar^0..hbar^4 do not depend on the truncation order
+    monos = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (1, 1, 0), (0, 1, 1), (0, 0, 2)]
+
+    def results(order):
+        ctx = Context(order=order)
+        g = so21(ctx)
+        tw = jordanian_twist(g, scale=ctx.i)
+        out = []
+        for m in monos:
+            el = g.monomial(m, 2 + ctx.i)
+            out += [twisted_coproduct(tw, el), twisted_antipode(tw, el)]
+        return out
+
+    low, high = results(4), results(6)
+    assert len(low) == len(high) == 14
+    for a, b in zip(low, high):
+        for n in range(5):
+            assert hbar_coefficient(a, n).to_text() == hbar_coefficient(b, n).to_text()
