@@ -22,7 +22,7 @@ print("L^F_{d_3} (x1 dx1^dx3) =", calc.lie(d3, w))
 # on coordinate fields the twisted insertion is a weight-shifted classical
 # insertion: i^F_{d_i} w = i_{d_i}((1 + i*hbar*E)^{w_i/2} |> w)
 lhs = calc.insert(d3, w)
-rhs = insert(d3.to_multivector(),
+rhs = insert(d3,
              model.real.act(model.weight_factor(2), w))
 print("weight-factor formula agrees:", lhs == rhs)
 

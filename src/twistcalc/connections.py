@@ -14,7 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 
-from .geometry import PolyFunction, VectorField
+from .geometry import MultiVector, PolyFunction
+from .linear import sort_sign
 from .reports import Report
 from .twists import r_matrix
 
@@ -64,14 +65,8 @@ class Metric:
 
     def eval(self, x, y):
         out = self.chart.zero_fn()
-        for i in range(self.chart.dim):
-            xi = x.comps[i]
-            if xi.is_zero:
-                continue
-            for j in range(self.chart.dim):
-                yj = y.comps[j]
-                if yj.is_zero:
-                    continue
+        for (i,), xi in x.terms.items():
+            for (j,), yj in y.terms.items():
                 out = out + xi * self.entries[i][j] * yj
         return out
 
@@ -79,22 +74,12 @@ class Metric:
         d = self.chart.dim
         out = self.chart.zero_fn()
         for perm in permutations(range(d)):
-            sign = 1
-            for a in range(d):
-                for b in range(a + 1, d):
-                    if perm[a] > perm[b]:
-                        sign = -sign
+            sign = sort_sign(perm)[1]
             term = self.chart.one_fn()
             for i in range(d):
                 term = term * self.entries[i][perm[i]]
             out = out + term if sign > 0 else out - term
         return out
-
-    def is_unit_determinant(self):
-        det = self.determinant()
-        if set(det.terms) != {(0,) * self.chart.dim}:
-            return False
-        return det.terms[(0,) * self.chart.dim].is_unit
 
     def inverse_matrix(self):
         """Adjugate over unit determinant; raises if the solve needs non-unit division."""
@@ -113,11 +98,7 @@ class Metric:
                 cols = [cc for cc in range(d) if cc != i]
                 minor = self.chart.zero_fn()
                 for perm in permutations(range(len(cols))):
-                    sign = 1
-                    for a in range(len(perm)):
-                        for b in range(a + 1, len(perm)):
-                            if perm[a] > perm[b]:
-                                sign = -sign
+                    sign = sort_sign(perm)[1]
                     term = self.chart.one_fn()
                     for k, r in enumerate(rows):
                         term = term * self.entries[r][cols[perm[k]]]
@@ -145,21 +126,14 @@ class Connection:
         chart = self.chart
         comps = []
         for k in range(chart.dim):
-            acc = x.apply(y.comps[k])
-            for i in range(chart.dim):
-                xi = x.comps[i]
-                if xi.is_zero:
-                    continue
-                for j in range(chart.dim):
+            acc = x.apply(y.coeff((k,)))
+            for (i,), xi in x.terms.items():
+                for (j,), yj in y.terms.items():
                     gam = self.gamma.get((k, i, j))
-                    if gam is None:
-                        continue
-                    yj = y.comps[j]
-                    if yj.is_zero:
-                        continue
-                    acc = acc + xi * gam * yj
+                    if gam is not None:
+                        acc = acc + xi * gam * yj
             comps.append(acc)
-        return VectorField(chart, comps)
+        return MultiVector.field(chart, comps)
 
     def nabla_form(self, x, omega):
         """Dual connection on 1-forms via the pairing:
@@ -223,7 +197,7 @@ def levi_civita_report(conn, metric):
         return res
 
     def torsion_free():
-        res = chart.zero_vf()
+        res = MultiVector.zero(chart)
         for x in frame:
             for y in frame:
                 res = res + (conn.nabla(x, y) - conn.nabla(y, x) - x.bracket(y))
@@ -247,8 +221,8 @@ def _braided_bracket(real, rinv, x, y):
 def _compose(x, y):
     """The second-order operator X Y as its values on the coordinates."""
     chart = x.chart
-    return VectorField(chart, [x.apply(y.apply(chart.coordinate(k)))
-                               for k in range(chart.dim)])
+    return MultiVector.field(chart, [x.apply(y.apply(chart.coordinate(k)))
+                                     for k in range(chart.dim)])
 
 
 def curvature(conn, real, x, y, z, rinv=None):
@@ -280,7 +254,7 @@ def torsion(conn, real, x, y, rinv=None):
 def twist_nabla(real, twist, conn, x, y):
     """nab^F_X Y = nab_{F1^{-1}|>X}(F2^{-1}|>Y)."""
     out = real.contract(twist.inv, x, y, conn.nabla)
-    return out if out is not None else conn.chart.zero_vf()
+    return out if out is not None else MultiVector.zero(conn.chart)
 
 
 class TwistedMetric:
@@ -339,7 +313,7 @@ def connection_report(real, twist, conn, metric, frame=None):
         for x in frame:
             for y in frame:
                 for z in frame:
-                    lhs = real.contract(twist.inv, x, geval(y, z), VectorField.apply)
+                    lhs = real.contract(twist.inv, x, geval(y, z), MultiVector.apply)
                     lhs = lhs - geval(nabF(x, y), z)
                     for (m1, m2), c in rm.inv.terms.items():
                         yb = real.act_monomial(m1, y)
@@ -349,12 +323,12 @@ def connection_report(real, twist, conn, metric, frame=None):
         return res
 
     def braided_torsion():
-        res = chart.zero_vf()
+        res = MultiVector.zero(chart)
         for x in frame:
             for y in frame:
                 # [X, Y]_{R_F}: the twisted Schouten bracket in degree one
                 t = (nabF(x, y) - real.contract(rm.inv, y, x, nabF)
-                     - real.contract(twist.inv, x, y, VectorField.bracket))
+                     - real.contract(twist.inv, x, y, MultiVector.bracket))
                 res = res + t
         return res
 
@@ -371,7 +345,7 @@ def equivariance_report(real, conn):
     frame += [real.field(n) for n in real.alg.names]
 
     def primitive_equivariance():
-        res = chart.zero_vf()
+        res = MultiVector.zero(chart)
         for name in real.alg.names:
             k = real.field(name)
             for x in frame:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .geometry import CoordSystem, PolyFunction, Realization, VectorField
+from .geometry import CoordSystem, MultiVector, PolyFunction, Realization
 from .lie import LiePresentation, PBWElement
 from .linear import SCALARS
 from .scalars import Context, HbarSeries, Scalar
@@ -388,7 +388,7 @@ def load_config(text, order=None):
             fields = {}
             for name, value in gen_fields.items():
                 comps = _parse_tuple(value, env, model.chart)
-                fields[name] = VectorField(model.chart, comps)
+                fields[name] = MultiVector.field(model.chart, comps)
             model.real = Realization(model.alg, model.chart, fields)
 
     twist_kind = None

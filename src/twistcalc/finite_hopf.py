@@ -62,23 +62,6 @@ class FiniteHopf:
                     _acc(out, k, cu * cv * ck)
         return out
 
-    def mul_tensor(self, s, t):
-        """Componentwise product of sparse tensors of equal arity."""
-        out = {}
-        for ka, ca in s.items():
-            for kb, cb in t.items():
-                c = ca * cb
-                partial = {(): c}
-                for leg in range(len(ka)):
-                    new = {}
-                    for key, cv in partial.items():
-                        for m, ck in self.mult[(ka[leg], kb[leg])].items():
-                            _acc(new, key + (m,), cv * ck)
-                    partial = new
-                for key, cv in partial.items():
-                    _acc(out, key, cv)
-        return out
-
     def delta_vec(self, u):
         out = {}
         for i, c in u.items():
@@ -98,12 +81,6 @@ class FiniteHopf:
         for i, c in u.items():
             for k, cv in self.antipode[i].items():
                 _acc(out, k, c * cv)
-        return out
-
-    def counit_vec(self, u):
-        out = self.ctx.zero
-        for i, c in u.items():
-            out = out + c * self.counit.get(i, self.ctx.zero)
         return out
 
     def is_commutative(self):

@@ -1,12 +1,12 @@
 """Classical Cartan calculus on polynomial functions of x^1..x^D.
 
-Functions are polynomials with truncated hbar-series coefficients; vector
-fields, multivectors and differential forms carry polynomial coefficients
-over the coordinate frame with strictly increasing index tuples and
-normalized signs.  A Realization maps a Lie presentation into polynomial
-vector fields and extends the U(g)-action to functions (iterated Lie
-derivative), multivector fields (adjoint action) and forms (Lie derivative,
-matching the dual-pairing formula).
+Functions are polynomials with truncated hbar-series coefficients;
+multivectors and differential forms carry polynomial coefficients over the
+coordinate frame with strictly increasing index tuples and normalized
+signs.  Vector fields are the multivectors of degree 1.  A Realization maps
+a Lie presentation into polynomial vector fields and extends the U(g)-action
+to functions (iterated Lie derivative), multivector fields (adjoint action)
+and forms (Lie derivative, matching the dual-pairing formula).
 """
 
 from __future__ import annotations
@@ -45,19 +45,11 @@ class CoordSystem:
         exps[i] = 1
         return PolyFunction(self, {tuple(exps): self.ctx.series([1])})
 
-    def coordinate_by_name(self, name):
-        return self.coordinate(self.names.index(name))
-
     def coordinate_field(self, i):
-        comps = [self._zero_fn] * self.dim
-        comps[i] = self._one_fn
-        return VectorField(self, tuple(comps))
+        return MultiVector(self, {(i,): self._one_fn})
 
     def basis_form(self, i):
         return DiffForm(self, {(i,): self._one_fn})
-
-    def zero_vf(self):
-        return VectorField(self, (self._zero_fn,) * self.dim)
 
 
 class PolyFunction(LinearCombination):
@@ -119,83 +111,6 @@ class PolyFunction(LinearCombination):
                           for m in sorted(self.terms, key=lambda e: (sum(e), e), reverse=True))
 
     __str__ = to_text
-
-
-class VectorField:
-    """Polynomial vector field sum_i p_i d_i, a derivation of the functions."""
-
-    __slots__ = ("chart", "comps")
-
-    def __init__(self, chart, comps):
-        self.chart = chart
-        self.comps = tuple(comps)
-
-    @property
-    def is_zero(self):
-        return all(p.is_zero for p in self.comps)
-
-    def apply(self, f):
-        out = self.chart.zero_fn()
-        for i, p in enumerate(self.comps):
-            if not p.is_zero:
-                out = out + p * f.diff(i)
-        return out
-
-    def bracket(self, other):
-        comps = []
-        for k in range(self.chart.dim):
-            comps.append(self.apply(other.comps[k]) - other.apply(self.comps[k]))
-        return VectorField(self.chart, comps)
-
-    def __add__(self, other):
-        return VectorField(self.chart,
-                           tuple(a + b for a, b in zip(self.comps, other.comps)))
-
-    def __sub__(self, other):
-        return VectorField(self.chart,
-                           tuple(a - b for a, b in zip(self.comps, other.comps)))
-
-    def __neg__(self):
-        return VectorField(self.chart, tuple(-a for a in self.comps))
-
-    def scale(self, coeff):
-        if isinstance(coeff, PolyFunction):
-            return VectorField(self.chart, tuple(coeff * p for p in self.comps))
-        return VectorField(self.chart, tuple(p * coeff for p in self.comps))
-
-    def star(self):
-        """Defined by L_{X*} f = -(L_X f*)*: conjugate coefficients, flip sign."""
-        return VectorField(self.chart, tuple(-(p.star()) for p in self.comps))
-
-    def to_multivector(self):
-        terms = {}
-        for i, p in enumerate(self.comps):
-            if not p.is_zero:
-                terms[(i,)] = p
-        return MultiVector(self.chart, terms)
-
-    def __eq__(self, other):
-        return (isinstance(other, VectorField) and self.chart is other.chart
-                and self.comps == other.comps)
-
-    def __hash__(self):
-        return hash(self.comps)
-
-    def to_text(self):
-        parts = []
-        for i, p in enumerate(self.comps):
-            if p.is_zero:
-                continue
-            pt = p.to_text()
-            if " " in pt or "/" in pt:
-                pt = "(" + pt + ")"
-            parts.append("%s*d_%d" % (pt, i + 1))
-        return " + ".join(parts) if parts else "0"
-
-    __str__ = to_text
-
-    def __repr__(self):
-        return "VectorField(%s)" % self.to_text()
 
 
 class _Graded(LinearCombination):
@@ -273,10 +188,39 @@ class _Graded(LinearCombination):
 
 
 class MultiVector(_Graded):
-    """Graded element over d_{i1}^...^d_{ik} with polynomial coefficients."""
+    """Graded element over d_{i1}^...^d_{ik} with polynomial coefficients.
+
+    The vector fields are the multivectors whose terms all have degree 1;
+    `apply` and `bracket` are defined on them only."""
 
     def _basis_symbol(self, i):
         return "d_%d" % (i + 1)
+
+    @classmethod
+    def field(cls, chart, comps):
+        """The vector field sum_i comps[i] d_i."""
+        return cls(chart, {(i,): p for i, p in enumerate(comps)})
+
+    def _field_terms(self):
+        if any(len(m) != 1 for m in self.terms):
+            raise ValueError("needs a vector field (a multivector of degree 1)")
+        return self.terms.items()
+
+    def apply(self, f):
+        """X(f) = sum_i X^i d_i f, the vector field as a derivation."""
+        out = self.chart.zero_fn()
+        for (i,), p in self._field_terms():
+            out = out + p * f.diff(i)
+        return out
+
+    def bracket(self, other):
+        """Lie bracket [X, Y] = sum_k (X(Y^k) - Y(X^k)) d_k of two vector fields."""
+        out = {}
+        for (k,), q in other._field_terms():
+            _acc(out, (k,), self.apply(q))
+        for (k,), p in self._field_terms():
+            _acc(out, (k,), -other.apply(p))
+        return MultiVector(self.chart, out)
 
     def factors(self, m):
         """A term f d_I as a list of vector fields [f d_{i1}, d_{i2}, ...]."""
@@ -339,24 +283,18 @@ def insert(mv, omega):
     return result
 
 
-def insert_field(x, omega):
-    return insert(x.to_multivector(), omega)
-
-
 def pairing(omega, x):
     """<omega, X> for a 1-form and a vector field."""
     out = omega.chart.zero_fn()
     for m, f in omega.terms.items():
         if len(m) != 1:
             raise ValueError("pairing needs a 1-form")
-        out = out + f * x.comps[m[0]]
+        out = out + f * x.coeff(m)
     return out
 
 
 def lie_form(mv, omega):
     """L_X = [i_X, d] (graded commutator) on forms, for X of any degree."""
-    if isinstance(mv, VectorField):
-        mv = mv.to_multivector()
     chart = omega.chart
     out = DiffForm.zero(chart)
     for k in mv.degrees():
@@ -375,10 +313,6 @@ def schouten(p, q):
     factor pairs; degree-0 entries follow [[a, Y]] = sum_j (-1)^j Y_j(a) ...
     and the graded skew-symmetry.
     """
-    if isinstance(p, VectorField):
-        p = p.to_multivector()
-    if isinstance(q, VectorField):
-        q = q.to_multivector()
     chart = p.chart
     out = MultiVector.zero(chart)
     for mi in p.terms:
@@ -404,14 +338,14 @@ def _schouten_term(p, mi, q, mj):
     out = MultiVector.zero(chart)
     for a in range(k):
         for b in range(l):
-            br = xs[a].bracket(ys[b]).to_multivector()
+            br = xs[a].bracket(ys[b])
             rest = MultiVector(chart, {(): chart.one_fn()})
             for t, x in enumerate(xs):
                 if t != a:
-                    rest = rest.wedge(x.to_multivector())
+                    rest = rest.wedge(x)
             for t, y in enumerate(ys):
                 if t != b:
-                    rest = rest.wedge(y.to_multivector())
+                    rest = rest.wedge(y)
             piece = br.wedge(rest)
             if (a + b) % 2:   # (-1)^{i+j} with 1-based indices = (-1)^{a+b} 0-based
                 piece = -piece
@@ -431,7 +365,7 @@ def _schouten_fn_term(a, q, mj):
         rest = MultiVector(chart, {(): coeff})
         for t, yy in enumerate(ys):
             if t != j:
-                rest = rest.wedge(yy.to_multivector())
+                rest = rest.wedge(yy)
         out = out + rest if j % 2 else out - rest   # (-1)^{j+1} 0-based = (-1)^j 1-based
     return out
 
@@ -457,15 +391,15 @@ class Realization:
             if name not in fields:
                 raise ValueError("generator %s is not realized" % name)
             fld = fields[name]
-            if not isinstance(fld, VectorField):
-                raise TypeError("realization of %s must be a VectorField" % name)
+            if not (isinstance(fld, MultiVector) and all(len(m) == 1 for m in fld.terms)):
+                raise TypeError("realization of %s must be a vector field" % name)
             self.fields[name] = fld
         self._by_index = [self.fields[name] for name in alg.names]
         self._act_cache = {}
         for (i, j), row in alg._table.items():
             if i < j:
                 lhs = self._by_index[i].bracket(self._by_index[j])
-                rhs = self.chart.zero_vf()
+                rhs = MultiVector.zero(self.chart)
                 for k, cv in row.items():
                     rhs = rhs + self._by_index[k].scale(self.chart.constant(cv))
                 if lhs != rhs:
@@ -480,8 +414,6 @@ class Realization:
         fld = self._by_index[i]
         if isinstance(obj, PolyFunction):
             return fld.apply(obj)
-        if isinstance(obj, VectorField):
-            return fld.bracket(obj)
         if isinstance(obj, MultiVector):
             return schouten(fld, obj)
         if isinstance(obj, DiffForm):
@@ -514,15 +446,7 @@ class Realization:
         for m, c in el.terms.items():
             piece = self.act_monomial(m, obj).scale(c)
             out = piece if out is None else out + piece
-        if out is not None:
-            return out
-        if isinstance(obj, PolyFunction):
-            return self.chart.zero_fn()
-        if isinstance(obj, VectorField):
-            return self.chart.zero_vf()
-        if isinstance(obj, MultiVector):
-            return MultiVector.zero(self.chart)
-        return DiffForm.zero(self.chart)
+        return obj._like({}) if out is None else out
 
     def contract(self, tensor, first, second, combine):
         """sum over the terms c*(m1 ox m2) of an arity-2 tensor of

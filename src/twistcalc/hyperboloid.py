@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .connections import Metric, connection_report, koszul_levi_civita, twist_nabla
-from .geometry import CoordSystem, DiffForm, Realization, insert, lie_form
+from .geometry import CoordSystem, DiffForm, MultiVector, Realization, insert, lie_form
 from .lie import so21
 from .reports import Report
 from .scalars import Context
@@ -270,7 +270,7 @@ def hyperboloid_suite(order=4, unit_a=False, project_samples=12):
             factor = model.weight_factor(idx)
             for w in sample_forms:
                 lhs = calc.insert(di, w)
-                rhs = insert(di.to_multivector(), model.real.act(factor, w))
+                rhs = insert(di, model.real.act(factor, w))
                 res = res + (lhs - rhs)
         return res
 
@@ -296,7 +296,7 @@ def hyperboloid_suite(order=4, unit_a=False, project_samples=12):
     def eq_nabla():
         one2i = chart.constant(2 * i) * h
         onei = chart.constant(i) * h
-        res = chart.zero_vf()
+        res = MultiVector.zero(chart)
         res = res + (twist_nabla(model.real, model.twist, conn, E, H)
                      - nab(E, H) - nab(E, E).scale(one2i))
         res = res + (twist_nabla(model.real, model.twist, conn, Ep, H)

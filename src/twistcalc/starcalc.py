@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .geometry import (CoordSystem, DiffForm, PolyFunction, Realization,
-                       VectorField, exterior_derivative, insert, lie_form,
+from .geometry import (CoordSystem, DiffForm, MultiVector, PolyFunction,
+                       Realization, exterior_derivative, insert, lie_form,
                        schouten)
 from .lie import abelian, symmetrize, unsymmetrize
 from .reports import Report
@@ -59,16 +59,10 @@ class TwistedCalculus:
 
     def schouten(self, x, y):
         """Twisted Schouten bracket [[F1^{-1}|>X, F2^{-1}|>Y]]."""
-        if isinstance(x, VectorField):
-            x = x.to_multivector()
-        if isinstance(y, VectorField):
-            y = y.to_multivector()
         return self.real.contract(self.twist.inv, x, y, schouten)
 
     def lie(self, x, omega):
         """Twisted Lie derivative L_{F1^{-1}|>X}(F2^{-1}|>omega)."""
-        if isinstance(x, VectorField):
-            x = x.to_multivector()
         key = ("L", x, omega)
         out = self._op_cache.get(key)
         if out is None:
@@ -78,8 +72,6 @@ class TwistedCalculus:
 
     def insert(self, x, omega):
         """Twisted insertion i_{F1^{-1}|>X}(F2^{-1}|>omega)."""
-        if isinstance(x, VectorField):
-            x = x.to_multivector()
         key = ("i", x, omega)
         out = self._op_cache.get(key)
         if out is None:
@@ -93,7 +85,7 @@ class TwistedCalculus:
 
     def lie_fn(self, x, f):
         """Twisted Lie derivative of a function: (F1^{-1}|>X)(F2^{-1}|>f)."""
-        out = self.real.contract(self.twist.inv, x, f, VectorField.apply)
+        out = self.real.contract(self.twist.inv, x, f, MultiVector.apply)
         return self.chart.zero_fn() if out is None else out
 
     # -- twisted involution -----------------------------------------------------------
@@ -145,8 +137,8 @@ class TwistedCalculus:
         """Coordinate fields, realized generators, wedges up to degree 2 and
         coordinate forms up to degree 3 with linear coefficients."""
         chart = self.chart
-        coords = [chart.coordinate_field(i).to_multivector() for i in range(chart.dim)]
-        gens = [self.real.field(n).to_multivector() for n in self.real.alg.names]
+        coords = [chart.coordinate_field(i) for i in range(chart.dim)]
+        gens = [self.real.field(n) for n in self.real.alg.names]
         x1 = chart.coordinate(0)
         deg1 = coords + gens
         deg2 = [coords[0].wedge(coords[1 % chart.dim])]

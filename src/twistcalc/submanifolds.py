@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import random
 
-from .geometry import (DiffForm, MultiVector, PolyFunction, VectorField,
-                       exterior_derivative, insert)
+from .geometry import DiffForm, MultiVector, PolyFunction, exterior_derivative, insert
 from .linear import _acc
 from .reports import Report
 from .scalars import HbarSeries
@@ -52,8 +51,6 @@ class QuadricIdeal:
         """Normal form under division by the generator; idempotent."""
         if isinstance(p, (int, HbarSeries)):
             return p
-        if isinstance(p, VectorField):
-            return VectorField(self.chart, tuple(self.reduce(c) for c in p.comps))
         if isinstance(p, (MultiVector, DiffForm)):
             return p._map(self.reduce)
         out = dict(p.terms)
@@ -87,8 +84,6 @@ class QuadricIdeal:
         tangent fields every coefficient lands in the ideal.  Exact in degree
         one, the necessary criterion in higher degree.
         """
-        if isinstance(p, VectorField):
-            return self.is_tangent(p)
         contracted = {}
         for m, f in p.terms.items():
             if not m:
@@ -131,7 +126,7 @@ class QuadricIdeal:
         for k in degrees:
             part = omega.homogeneous(k)
             for t in tangent_frame:
-                contracted = insert(t.to_multivector(), part)
+                contracted = insert(t, part)
                 if not self.form_in_kernel(tangent_frame, contracted):
                     return False
         return True
@@ -141,10 +136,6 @@ class QuadricIdeal:
     def project(self, obj):
         """Canonical representative of the class of obj in the quotient."""
         if isinstance(obj, PolyFunction):
-            return self.reduce(obj)
-        if isinstance(obj, VectorField):
-            if not self.is_tangent(obj):
-                raise ValueError("vector field is not tangent to the quadric")
             return self.reduce(obj)
         if isinstance(obj, MultiVector):
             if not self.is_tangent_multivector(obj):
@@ -208,10 +199,10 @@ def twist_project_report(ideal, calc, samples=50, seed=20260810):
 
     def tangent_mv(k):
         if k == 1:
-            out = gens[rng.randrange(len(gens))].to_multivector()
+            out = gens[rng.randrange(len(gens))]
             return out.scale(random_polynomial(chart, rng, degree=1, terms=2))
-        a = gens[rng.randrange(len(gens))].to_multivector()
-        b = gens[rng.randrange(len(gens))].to_multivector()
+        a = gens[rng.randrange(len(gens))]
+        b = gens[rng.randrange(len(gens))]
         return a.wedge(b)
 
     def rand_form(k, quadratic=False):

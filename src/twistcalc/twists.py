@@ -230,19 +230,6 @@ class ClassicalR:
     def is_zero(self):
         return not self.rho
 
-    def to_tensor(self):
-        """The skew tensor in U(g) ox U(g) (hbar-free)."""
-        out = TensorElement.zero(self.alg, 2)
-        for (i, j), c in self.rho.items():
-            ei = [0] * self.alg.dim
-            ej = [0] * self.alg.dim
-            ei[i] += 1
-            ej[j] += 1
-            out = out + TensorElement(
-                self.alg, 2,
-                {(tuple(ei), tuple(ej)): self.alg.ctx.series([c])})
-        return out
-
     def to_text(self):
         if not self.rho:
             return "0"

@@ -10,7 +10,7 @@ from twistcalc.connections import (Connection, Metric, MetricError,
                                    equivariance_report, flat_connection,
                                    koszul_levi_civita, levi_civita_report,
                                    torsion, twist_nabla, TwistedMetric)
-from twistcalc.geometry import CoordSystem, PolyFunction, VectorField, pairing
+from twistcalc.geometry import CoordSystem, MultiVector, PolyFunction, pairing
 from twistcalc.twists import r_matrix
 
 
@@ -23,7 +23,7 @@ def rand_vf(chart, rng, deg=1):
                 out = out + PolyFunction(
                     chart, {m: chart.ctx.series([rng.randint(-2, 2)])})
         return out
-    return VectorField(chart, tuple(f() for _ in range(chart.dim)))
+    return MultiVector.field(chart, tuple(f() for _ in range(chart.dim)))
 
 
 def test_metric_requires_symmetry(ctx):
@@ -90,7 +90,7 @@ def test_braided_torsion_skew(model):
     for _ in range(4):
         x, y = rand_vf(chart, rng), rand_vf(chart, rng)
         lhs = torsion(conn, model.real, y, x, rinv=rm.inv)
-        rhs = chart.zero_vf()
+        rhs = MultiVector.zero(chart)
         for (m1, m2), cv in rm.inv.terms.items():
             xb = model.real.act_monomial(m1, x)
             yb = model.real.act_monomial(m2, y)
@@ -150,7 +150,7 @@ def test_twist_nabla_braided_leibniz(model):
 
     def mod_action(a, s):
         # a .F s: the twisted module action of a function on a field
-        out = chart.zero_vf()
+        out = MultiVector.zero(chart)
         for (m1, m2), cv in model.twist.inv.terms.items():
             ab = model.real.act_monomial(m1, a)
             sb = model.real.act_monomial(m2, s)

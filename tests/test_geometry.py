@@ -7,8 +7,8 @@ import pytest
 
 from twistcalc.connections import Connection
 from twistcalc.geometry import (CoordSystem, DiffForm, MultiVector,
-                                PolyFunction, Realization, VectorField,
-                                exterior_derivative as d, insert, insert_field,
+                                PolyFunction, Realization,
+                                exterior_derivative as d, insert,
                                 lie_form, pairing, schouten)
 from twistcalc.hyperboloid import HyperboloidModel
 
@@ -75,24 +75,44 @@ def test_vf_bracket_coordinates(chart):
 
 def test_bracket_antisymmetry_jacobi(chart, rng):
     for _ in range(6):
-        x = VectorField(chart, tuple(rand_fn(chart, rng, 1) for _ in range(3)))
-        y = VectorField(chart, tuple(rand_fn(chart, rng, 1) for _ in range(3)))
-        z = VectorField(chart, tuple(rand_fn(chart, rng, 1) for _ in range(3)))
+        x = MultiVector.field(chart, tuple(rand_fn(chart, rng, 1) for _ in range(3)))
+        y = MultiVector.field(chart, tuple(rand_fn(chart, rng, 1) for _ in range(3)))
+        z = MultiVector.field(chart, tuple(rand_fn(chart, rng, 1) for _ in range(3)))
         assert x.bracket(y) == -(y.bracket(x))
         jac = (x.bracket(y.bracket(z)) + z.bracket(x.bracket(y))
                + y.bracket(z.bracket(x)))
         assert jac.is_zero
 
 
+def test_field_operations_reject_other_degrees(chart):
+    x1 = chart.coordinate(0)
+    d1 = chart.coordinate_field(0)
+    for other in (MultiVector.from_function(x1), d1.wedge(chart.coordinate_field(1))):
+        with pytest.raises(ValueError, match="vector field"):
+            other.apply(x1)
+        with pytest.raises(ValueError, match="vector field"):
+            other.bracket(d1)
+        with pytest.raises(ValueError, match="vector field"):
+            d1.bracket(other)
+
+
+def test_schouten_of_fields_is_bracket(chart):
+    rng = random.Random(202)
+    for _ in range(6):
+        x = MultiVector.field(chart, tuple(rand_fn(chart, rng, 2) for _ in range(3)))
+        y = MultiVector.field(chart, tuple(rand_fn(chart, rng, 2) for _ in range(3)))
+        assert schouten(x, y) == x.bracket(y)
+
+
 def test_wedge_antisymmetry(chart):
-    d1 = chart.coordinate_field(0).to_multivector()
-    d2 = chart.coordinate_field(1).to_multivector()
+    d1 = chart.coordinate_field(0)
+    d2 = chart.coordinate_field(1)
     assert d1.wedge(d2) == -(d2.wedge(d1))
     assert d1.wedge(d1).is_zero
 
 
 def test_schouten_degree_rules(chart, rng):
-    x = VectorField(chart, tuple(rand_fn(chart, rng, 1) for _ in range(3)))
+    x = MultiVector.field(chart, tuple(rand_fn(chart, rng, 1) for _ in range(3)))
     f = rand_fn(chart, rng)
     assert schouten(x, MultiVector.from_function(f)) == \
         MultiVector.from_function(x.apply(f))
@@ -131,13 +151,13 @@ def test_d_squared_zero(chart, rng):
 def test_insert_examples(chart):
     d1 = chart.coordinate_field(0)
     dx1, dx2 = chart.basis_form(0), chart.basis_form(1)
-    assert insert_field(d1, dx1) == DiffForm.from_function(chart.one_fn())
-    assert insert_field(d1, dx1.wedge(dx2)) == dx2
+    assert insert(d1, dx1) == DiffForm.from_function(chart.one_fn())
+    assert insert(d1, dx1.wedge(dx2)) == dx2
     # degree-0 insertion is multiplication
     f = chart.coordinate(2)
     assert insert(MultiVector.from_function(f), dx1) == dx1.scale(f)
     # i_{X^Y} = i_X i_Y
-    x, y = d1.to_multivector(), chart.coordinate_field(1).to_multivector()
+    x, y = d1, chart.coordinate_field(1)
     w = dx1.wedge(dx2)
     assert insert(x.wedge(y), w) == insert(x, insert(y, w))
 
@@ -183,6 +203,19 @@ def test_realization_validates_brackets(ctx, chart):
         Realization(g, chart, bad)
     with pytest.raises(ValueError):
         Realization(g, chart, {"H": chart.coordinate_field(0)})
+
+
+def test_realization_accepts_zero_field_rejects_bivector(ctx, chart):
+    from twistcalc.lie import abelian
+    g = abelian(ctx, ("P", "Q"))
+    real = Realization(g, chart, {"P": MultiVector.zero(chart),
+                                  "Q": chart.coordinate_field(0)})
+    x1 = chart.coordinate(0)
+    assert real.act(g.generator("P"), x1).is_zero
+    assert real.act(g.generator("Q"), x1) == chart.one_fn()
+    bivector = chart.coordinate_field(0).wedge(chart.coordinate_field(1))
+    with pytest.raises(TypeError):
+        Realization(g, chart, {"P": bivector, "Q": chart.coordinate_field(0)})
 
 
 def test_act_rejects_unrealized_algebra(model, plain_ctx):
@@ -239,12 +272,12 @@ def test_form_action_matches_pairing(model, rng):
     el = model.alg.generator("E") * model.alg.generator("H")
     w = chart.basis_form(0).scale(rand_fn(chart, rng, 1)) \
         + chart.basis_form(2).scale(rand_fn(chart, rng, 1))
-    x = VectorField(chart, tuple(rand_fn(chart, rng, 1) for _ in range(3)))
+    x = MultiVector.field(chart, tuple(rand_fn(chart, rng, 1) for _ in range(3)))
     lhs = pairing(real.act(el, w).homogeneous(1), x)
     rhs = chart.zero_fn()
     for (m1, m2), cv in el.coproduct().terms.items():
         s_leg = model.alg.element({m2: 1}).antipode()
-        inner = chart.zero_vf()
+        inner = MultiVector.zero(chart)
         for m, c2 in s_leg.terms.items():
             inner = inner + real.act_monomial(m, x).scale(chart.constant(1) * c2)
         rhs = rhs + real.act_monomial(m1, pairing(w, inner)) * cv
@@ -265,7 +298,7 @@ def test_star_involution(chart, rng):
 
 def test_field_star_law(chart, rng):
     # L_{X*} f = -(L_X f*)*
-    x = VectorField(chart, tuple(rand_fn(chart, rng, 1) for _ in range(3)))
+    x = MultiVector.field(chart, tuple(rand_fn(chart, rng, 1) for _ in range(3)))
     f = rand_fn(chart, rng) * chart.ctx.i
     assert x.star().apply(f) == -(x.apply(f.star()).star())
 
@@ -276,7 +309,7 @@ def test_act_monomial_matches_the_word(model):
     chart = model.chart
     x1, x2, x3 = model.x
     f = x1 * x3 + x2 * x2 * model.sqrt_a + chart.constant(model.c)
-    mv = model.E.to_multivector().wedge(chart.coordinate_field(2).to_multivector())
+    mv = model.E.wedge(chart.coordinate_field(2))
     form = chart.basis_form(0).wedge(chart.basis_form(1)).scale(x3) \
         + chart.basis_form(2).scale(x2 * model.ctx.i)
     monomials = [e for e in product(range(5), repeat=3) if sum(e) <= 4]
@@ -307,8 +340,8 @@ def test_contract_matches_per_term_sum(model3):
     g = x2 + x1 * x1 * i
     xa = m.E.scale(x2) + m.H
     xb = m.Ep + chart.coordinate_field(1).scale(x1)
-    mv1 = xa.to_multivector()
-    mv2 = m.Ep.to_multivector().wedge(chart.coordinate_field(0).to_multivector())
+    mv1 = xa
+    mv2 = m.Ep.wedge(chart.coordinate_field(0))
     w1 = chart.basis_form(0).scale(x3) + chart.basis_form(1).scale(x2 * i)
     w2 = chart.basis_form(1).wedge(chart.basis_form(2)).scale(x1)
     conn = Connection(chart, {(0, 1, 2): x1, (2, 2, 0): chart.constant(m.sqrt_a)})
@@ -318,8 +351,8 @@ def test_contract_matches_per_term_sum(model3):
              (schouten, mv1, mv2),
              (lie_form, mv1, w2),
              (insert, mv2, w2),
-             (VectorField.apply, xa, f),
-             (VectorField.bracket, xa, xb),
+             (MultiVector.apply, xa, f),
+             (MultiVector.bracket, xa, xb),
              (conn.nabla, xa, xb),
              (m.metric.eval, xa, xb)]
     for tensor in (m.twist.inv, m.calc.rmatrix.inv):

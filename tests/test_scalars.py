@@ -241,13 +241,13 @@ def test_linear_laws_on_every_container(ctx, model):
     E, H = g.generator("E"), g.generator("H")
     x1, x2 = model.x[0], model.x[1]
     dx = [model.chart.basis_form(k) for k in range(3)]
-    mv = model.real.field("E").to_multivector()
+    mv = model.real.field("E")
 
     def builds():
         yield lambda: E * H + E.scale(ctx.i)
         yield lambda: TensorElement.from_legs(H, E).scale(ctx.hbar()) + 1
         yield lambda: x1 * x2 * model.ctx.param("a") + x2
-        yield lambda: mv.wedge(model.real.field("H").to_multivector())
+        yield lambda: mv.wedge(model.real.field("H"))
         yield lambda: dx[0].wedge(dx[2]).scale(x1) + dx[1]
         yield lambda: Wedge3(g, {(0, 1, 2): ctx.rational(3, 2)})
 

@@ -127,8 +127,8 @@ def test_trivial_involution_is_conjugation(model):
 def test_twisted_wedge_trivial_and_examples(model):
     calc = model.calc
     triv = TwistedCalculus(model.real, trivial_twist(model.alg))
-    a = model.E.to_multivector()
-    b = model.Ep.to_multivector()
+    a = model.E
+    b = model.Ep
     assert triv.wedge(a, b) == a.wedge(b)
     assert triv.schouten(a, b) == \
         __import__("twistcalc.geometry", fromlist=["schouten"]).schouten(a, b)
@@ -138,7 +138,7 @@ def test_twisted_wedge_trivial_and_examples(model):
     for (m1, m2), cv in model.twist.inv.terms.items():
         xa = model.real.act_monomial(m1, model.E)
         xb = model.real.act_monomial(m2, model.Ep)
-        rhs = rhs + xa.bracket(xb).to_multivector().scale(
+        rhs = rhs + xa.bracket(xb).scale(
             model.chart.constant(1) * cv)
     assert lhs == rhs
 
@@ -146,10 +146,9 @@ def test_twisted_wedge_trivial_and_examples(model):
 def test_twisted_wedge_braided_commutativity(model):
     calc = model.calc
     rm = r_matrix(model.twist)
-    samples = [(model.E.to_multivector(), 1),
-               (model.chart.coordinate_field(2).to_multivector(), 1),
-               (model.H.to_multivector().wedge(
-                   model.chart.coordinate_field(1).to_multivector()), 2)]
+    samples = [(model.E, 1),
+               (model.chart.coordinate_field(2), 1),
+               (model.H.wedge(model.chart.coordinate_field(1)), 2)]
     for (aa, k) in samples:
         for (bb, l) in samples:
             lhs = calc.wedge(bb, aa)
@@ -189,9 +188,9 @@ def test_braided_gerstenhaber_laws(model):
     rm = r_matrix(model.twist)
     chart = model.chart
     x1 = chart.coordinate(0)
-    s1 = model.E.to_multivector().scale(x1)
-    s2 = model.H.to_multivector()
-    s3 = model.Ep.to_multivector().wedge(model.chart.coordinate_field(0).to_multivector())
+    s1 = model.E.scale(x1)
+    s2 = model.H
+    s3 = model.Ep.wedge(model.chart.coordinate_field(0))
     cases = [(s1, 1, s2, 1), (s2, 1, s3, 2), (s3, 2, s2, 1)]
     for (x, k, y, l) in cases:
         lhs = calc.schouten(y, x)
@@ -239,7 +238,7 @@ def test_twisted_cartan_consistency(model):
         f = rand_poly(model.chart, rng, 2)
         x = model.E
         lhs = calc.lie_fn(x, f)
-        rhs = calc.schouten(x.to_multivector(), MultiVector.from_function(f))
+        rhs = calc.schouten(x, MultiVector.from_function(f))
         assert MultiVector.from_function(lhs) == rhs
 
 
@@ -408,9 +407,9 @@ def _hbar_texts(obj, n):
 def _cross_order_results(m):
     calc, chart = m.calc, m.chart
     x = m.x
-    e = m.E.to_multivector()
-    h = m.H.to_multivector()
-    y = m.Ep.to_multivector().wedge(chart.coordinate_field(0).to_multivector()).scale(x[2])
+    e = m.E
+    h = m.H
+    y = m.Ep.wedge(chart.coordinate_field(0)).scale(x[2])
     omega = chart.basis_form(0).wedge(chart.basis_form(1)).scale(x[2] * x[2]) \
         + chart.basis_form(2).scale(x[0])
     out = [calc.star(x[i], x[j]) for i in range(3) for j in range(3)]

@@ -91,11 +91,10 @@ def test_project_examples(model):
     pr_h = ideal.project(model.H)
     assert ideal.is_tangent(pr_h)
     # wedges of tangent fields project
-    p = model.H.to_multivector().wedge(model.E.to_multivector())
+    p = model.H.wedge(model.E)
     assert ideal.is_tangent_multivector(p)
     ideal.project(p)
-    bad = model.chart.coordinate_field(0).to_multivector().wedge(
-        model.E.to_multivector())
+    bad = model.chart.coordinate_field(0).wedge(model.E)
     assert not ideal.is_tangent_multivector(bad)
 
 
@@ -113,8 +112,8 @@ def test_classical_projection_cartan(model):
         resid = exterior_derivative(ideal.reduce(w)) - exterior_derivative(w)
         assert ideal.form_in_kernel(gens, resid)
         x = gens[rng.randrange(3)]
-        resid = insert(ideal.reduce(x).to_multivector(), ideal.reduce(w)) \
-            - insert(x.to_multivector(), w)
+        resid = insert(ideal.reduce(x), ideal.reduce(w)) \
+            - insert(x, w)
         assert ideal.form_in_kernel(gens, resid)
 
 
