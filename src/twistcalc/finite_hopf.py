@@ -8,7 +8,7 @@ Hopf algebra, which is neither commutative nor cocommutative.
 
 from __future__ import annotations
 
-from .linear import _acc
+from .linear import _acc, extend_bilinear, extend_linear
 from .scalars import Scalar
 
 
@@ -55,33 +55,17 @@ class FiniteHopf:
         return {i: self.ctx.one}
 
     def mul_vec(self, u, v):
-        out = {}
-        for i, cu in u.items():
-            for j, cv in v.items():
-                for k, ck in self.mult[(i, j)].items():
-                    _acc(out, k, cu * cv * ck)
-        return out
+        return extend_bilinear(u, v, lambda i, j: self.mult[(i, j)])
 
     def delta_vec(self, u):
-        out = {}
-        for i, c in u.items():
-            for key, cv in self.coproduct[i].items():
-                _acc(out, key, c * cv)
-        return out
+        return extend_linear(u, self.coproduct.__getitem__)
 
     def delta_on_leg(self, t, leg):
-        out = {}
-        for key, c in t.items():
-            for (a, b), cv in self.coproduct[key[leg]].items():
-                _acc(out, key[:leg] + (a, b) + key[leg + 1:], c * cv)
-        return out
+        return extend_linear(t, lambda key: {key[:leg] + ab + key[leg + 1:]: cv
+                                             for ab, cv in self.coproduct[key[leg]].items()})
 
     def antipode_vec(self, u):
-        out = {}
-        for i, c in u.items():
-            for k, cv in self.antipode[i].items():
-                _acc(out, k, c * cv)
-        return out
+        return extend_linear(u, self.antipode.__getitem__)
 
     def is_commutative(self):
         for i in range(self.dim):

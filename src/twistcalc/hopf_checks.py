@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 
 from .lie import LiePresentation
-from .linear import _acc
+from .linear import _acc, extend_linear
 from .finite_hopf import FiniteHopf
 from .reports import Report
 
@@ -173,23 +173,16 @@ def _diff(a, b):
 
 
 def _counit_leg(h, i, leg):
-    out = {}
-    for (ka, kb), c in h.delta_vec(h.basis_vec(i)).items():
-        scal, keep = ((ka, kb)[leg], (ka, kb)[1 - leg])
-        _acc(out, keep, c * h.counit.get(scal, h.ctx.zero))
-    return out
+    return extend_linear(h.delta_vec(h.basis_vec(i)), lambda key: {
+        key[1 - leg]: h.counit.get(key[leg], h.ctx.zero)})
 
 
 def _antipode_side(h, i, left):
-    out = {}
-    for (ka, kb), c in h.delta_vec(h.basis_vec(i)).items():
-        if left:
-            prod = h.mul_vec(h.antipode_vec({ka: h.ctx.one}), {kb: h.ctx.one})
-        else:
-            prod = h.mul_vec({ka: h.ctx.one}, h.antipode_vec({kb: h.ctx.one}))
-        for k, v in prod.items():
-            _acc(out, k, c * v)
-    return out
+    """mu (S ox id) Delta, or mu (id ox S) Delta, on basis element i."""
+    one = h.ctx.one
+    return extend_linear(h.delta_vec(h.basis_vec(i)), lambda key: (
+        h.mul_vec(h.antipode[key[0]], {key[1]: one}) if left
+        else h.mul_vec({key[0]: one}, h.antipode[key[1]])))
 
 
 def _eps_unit(h, i):

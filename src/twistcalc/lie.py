@@ -12,7 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 
-from .linear import SCALARS, LinearCombination, _acc, format_sum, monomial_text
+from .linear import (SCALARS, LinearCombination, _acc, extend_bilinear, extend_linear,
+                     format_sum, monomial_text)
 from .scalars import HbarSeries
 
 
@@ -246,16 +247,9 @@ class PBWElement(LinearCombination):
         if o is None:
             return NotImplemented
         alg = self.alg
-        out = {}
-        for ma, ca in self.terms.items():
-            wa = alg.word_of(ma)
-            for mb, cb in o.terms.items():
-                cc = ca * cb
-                if cc.is_zero:
-                    continue
-                for m, sv in alg.normal_word(wa + alg.word_of(mb)).items():
-                    _acc(out, m, cc * sv)
-        return PBWElement(alg, out)
+        return PBWElement(alg, extend_bilinear(
+            self.terms, o.terms,
+            lambda ma, mb: alg.normal_word(alg.word_of(ma) + alg.word_of(mb))))
 
     def __rmul__(self, other):
         if isinstance(other, SCALARS):
@@ -267,38 +261,28 @@ class PBWElement(LinearCombination):
     def coproduct(self):
         """Delta as a TensorElement of arity 2 (algebra map, primitives split)."""
         from .tensors import TensorElement
-        out = {}
-        for m, c in self.terms.items():
-            for key, sv in self.alg.coproduct_monomial(m).items():
-                _acc(out, key, c * sv)
-        return TensorElement(self.alg, 2, out)
+        return TensorElement(self.alg, 2,
+                             extend_linear(self.terms, self.alg.coproduct_monomial))
 
     def antipode(self):
-        out = {}
-        for m, c in self.terms.items():
-            for m2, sv in self.alg.antipode_monomial(m).items():
-                _acc(out, m2, c * sv)
-        return PBWElement(self.alg, out)
+        return PBWElement(self.alg, extend_linear(self.terms, self.alg.antipode_monomial))
 
     def counit(self):
         return self.coeff((0,) * self.alg.dim)
 
     def star(self):
         """The *-involution extended as an antilinear anti-homomorphism."""
-        eps = self.alg.involution
+        alg = self.alg
+        eps = alg.involution
         if eps is None:
             raise ValueError("presentation has no involution table")
-        out = {}
+        # (e^m)^* is the reversed word, times eps_i for every letter e_i
+        conj = {}
         for m, c in self.terms.items():
-            sign = 1
-            for i, k in enumerate(m):
-                if k and eps[i] == -1 and k % 2:
-                    sign = -sign
-            word = tuple(reversed(self.alg.word_of(m)))
-            cc = c.conjugate() * sign
-            for m2, sv in self.alg.normal_word(word).items():
-                _acc(out, m2, cc * sv)
-        return PBWElement(self.alg, out)
+            odd = sum(k for k, e in zip(m, eps) if e == -1) % 2
+            conj[m] = c.conjugate() * (-1 if odd else 1)
+        return PBWElement(alg, extend_linear(
+            conj, lambda m: alg.normal_word(tuple(reversed(alg.word_of(m))))))
 
     # -- printing --------------------------------------------------------------------
 

@@ -6,7 +6,9 @@ tuples of them, coordinate monomials, wedge indices).  LinearCombination
 stores such a sum as a dict {basis key: coefficient} that never holds a zero
 coefficient, so `is_zero` and `==` are literal dict tests, and carries the
 linear structure once.  `_acc` is the one accumulator that keeps dicts in
-that form.  exp, log1p and the inverse of 1 + (nilpotent) are written once
+that form.  Products, coproducts and antipodes are given by structure
+constants on basis keys; `extend_linear` and `extend_bilinear` extend such a
+map to sums.  exp, log1p and the inverse of 1 + (nilpotent) are written once
 for any unital ring whose elements of positive hbar-order are nilpotent by
 truncation.
 """
@@ -28,6 +30,36 @@ def _acc(d, key, val):
         d.pop(key, None)
     else:
         d[key] = new
+
+
+def extend_linear(terms, images):
+    """Linear extension of a basis map: sum of c * images(k) over {k: c}.
+
+    images(k) is {key: constant}; a unit constant passes c through unmultiplied.
+    """
+    out = {}
+    for k, c in terms.items():
+        for key, s in images(k).items():
+            _acc(out, key, c if s.is_one else c * s)
+    return out
+
+
+def extend_bilinear(a, b, products):
+    """Bilinear extension of a basis product: sum of ca * cb * products(ka, kb).
+
+    products(ka, kb) is {key: constant}.  It is not called for a pair whose
+    coefficient product ca * cb is zero, and a unit constant passes that
+    product through unmultiplied.
+    """
+    out = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            c = ca * cb
+            if c.is_zero:
+                continue
+            for key, s in products(ka, kb).items():
+                _acc(out, key, c if s.is_one else c * s)
+    return out
 
 
 class LinearCombination:

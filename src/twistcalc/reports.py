@@ -68,11 +68,6 @@ class Report:
         self.checks.append(Check(name, ok, "0" if ok else _render(residual), ms))
         return ok
 
-    def add(self, name, residual, millis=0.0):
-        ok = _is_clean(residual)
-        self.checks.append(Check(name, ok, "0" if ok else _render(residual), millis))
-        return ok
-
     def note(self, name, text):
         """Informational entry that never fails the suite."""
         self.checks.append(Check(name, True, text, 0.0, info=True))

@@ -160,16 +160,6 @@ class Context:
         idx = len(self.params) + self.radical_names.index(name)
         return Scalar._pair(self, self._gens[idx], self._ring.one)
 
-    def atom(self, name):
-        """Parameter or radical by display name; 'i' gives the imaginary unit."""
-        if name == "i":
-            return self._i
-        if name in self.params:
-            return self.param(name)
-        if name in self.radical_names:
-            return self.radical(name)
-        raise KeyError("unknown scalar symbol %r" % name)
-
     # -- series constructors -------------------------------------------------
 
     def series(self, coeffs, order=None):
@@ -586,6 +576,10 @@ class HbarSeries:
     @property
     def is_zero(self):
         return all(c.is_zero for c in self.coeffs)
+
+    @property
+    def is_one(self):
+        return self.coeffs[0].is_one and all(c.is_zero for c in self.coeffs[1:])
 
     @property
     def is_unit(self):

@@ -345,7 +345,7 @@ def gutt_star(alg, p, q, degree_bound=4):
 def poisson_from_r(real, r, f, g):
     """{f, g} = mu(r |> (f ox g)) through the realization."""
     out = real.chart.zero_fn()
-    for (i, j), c in r.rho.items():
+    for (i, j), c in r.terms.items():
         ei = [0] * real.alg.dim
         ej = [0] * real.alg.dim
         ei[i] = 1

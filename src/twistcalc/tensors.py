@@ -9,8 +9,8 @@ F_12, F_21, F_13 notation, and the coproduct can be spliced into any leg.
 from __future__ import annotations
 
 from .lie import PBWElement
-from .linear import (SCALARS, LinearCombination, _acc, monomial_text, nilpotent_exp,
-                     unipotent_inverse, wrap_coefficient)
+from .linear import (SCALARS, LinearCombination, _acc, extend_bilinear, extend_linear,
+                     monomial_text, nilpotent_exp, unipotent_inverse, wrap_coefficient)
 
 
 class TensorElement(LinearCombination):
@@ -50,6 +50,7 @@ class TensorElement(LinearCombination):
         """Tensor product of the factors in order: a PBW element fills one leg,
         a tensor as many legs as its arity."""
         alg = legs[0].alg
+        one = alg.ctx.one
         terms = {(): alg.ctx.series([1])}
         arity = 0
         for leg in legs:
@@ -57,11 +58,7 @@ class TensorElement(LinearCombination):
                 raise ValueError("legs from different algebras")
             if isinstance(leg, PBWElement):
                 leg = cls(alg, 1, {(m,): c for m, c in leg.terms.items()})
-            new = {}
-            for key, c in terms.items():
-                for k, ck in leg.terms.items():
-                    _acc(new, key + k, c * ck)
-            terms = new
+            terms = extend_bilinear(terms, leg.terms, lambda ka, kb: {ka + kb: one})
             arity += leg.arity
         return cls(alg, arity, terms)
 
@@ -73,17 +70,8 @@ class TensorElement(LinearCombination):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        legwise = self.alg.legwise_product
-        out = {}
-        for ka, ca in self.terms.items():
-            for kb, cb in o.terms.items():
-                c = ca * cb
-                if c.is_zero:
-                    continue
-                # scalar structure constants first, one series scaling per key
-                for key, s in legwise(ka, kb).items():
-                    _acc(out, key, c if s.is_one else c * s)
-        return TensorElement(self.alg, self.arity, out)
+        return TensorElement(self.alg, self.arity,
+                             extend_bilinear(self.terms, o.terms, self.alg.legwise_product))
 
     def __rmul__(self, other):
         if isinstance(other, SCALARS):
@@ -143,12 +131,9 @@ class TensorElement(LinearCombination):
         """Apply a linear map (given on monomials as dict[exps -> Scalar]) to a leg."""
         if not 1 <= leg <= self.arity:
             raise ValueError("invalid leg %d" % leg)
-        out = {}
-        for key, c in self.terms.items():
-            for m, sv in monomial_map(key[leg - 1]).items():
-                new = key[: leg - 1] + (m,) + key[leg:]
-                _acc(out, new, c * sv)
-        return TensorElement(self.alg, self.arity, out)
+        return TensorElement(self.alg, self.arity, extend_linear(
+            self.terms, lambda key: {key[: leg - 1] + (m,) + key[leg:]: sv
+                                     for m, sv in monomial_map(key[leg - 1]).items()}))
 
     def antipode_on_leg(self, leg):
         return self.map_leg(leg, self.alg.antipode_monomial)
@@ -161,12 +146,9 @@ class TensorElement(LinearCombination):
         """
         if not 1 <= leg <= self.arity:
             raise ValueError("invalid leg %d" % leg)
-        out = {}
-        for key, c in self.terms.items():
-            for ms, sv in monomial_expand(key[leg - 1]).items():
-                new = key[: leg - 1] + tuple(ms) + key[leg:]
-                _acc(out, new, c * sv)
-        return TensorElement(self.alg, self.arity - 1 + extra, out)
+        return TensorElement(self.alg, self.arity - 1 + extra, extend_linear(
+            self.terms, lambda key: {key[: leg - 1] + tuple(ms) + key[leg:]: sv
+                                     for ms, sv in monomial_expand(key[leg - 1]).items()}))
 
     def coproduct_on_leg(self, leg):
         """Apply the coproduct to one leg, splicing the result in place."""
@@ -188,14 +170,8 @@ class TensorElement(LinearCombination):
     def contract_mul(self):
         """Multiply all legs together in order, landing in U(g)."""
         alg = self.alg
-        out = {}
-        for key, c in self.terms.items():
-            word = ()
-            for m in key:
-                word += alg.word_of(m)
-            for m, sv in alg.normal_word(word).items():
-                _acc(out, m, c * sv)
-        return PBWElement(alg, out)
+        return PBWElement(alg, extend_linear(
+            self.terms, lambda key: alg.normal_word(sum(map(alg.word_of, key), ()))))
 
     def to_pbw(self):
         """View an arity-1 tensor as a PBW element."""

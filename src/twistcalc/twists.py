@@ -200,18 +200,41 @@ def check_unitary(twist):
     return rep
 
 
-class ClassicalR:
+class _IndexTensor(LinearCombination):
+    """Sum over tuples of basis indices of g with Scalar coefficients."""
+
+    __slots__ = ("alg",)
+
+    def __init__(self, alg, terms):
+        self.alg = alg
+        self.terms = terms
+
+    @property
+    def ctx(self):
+        return self.alg.ctx
+
+    def _like(self, terms):
+        return type(self)(self.alg, terms)
+
+    def _space(self):
+        return self.alg
+
+    def _zero_coeff(self):
+        return self.ctx.zero
+
+
+class ClassicalR(_IndexTensor):
     """Skew element of g ox g with Scalar coefficients (wedge storage)."""
 
-    def __init__(self, alg, rho):
-        self.alg = alg
-        ctx = alg.ctx
-        self.rho = {}
-        for key, v in rho.items():
-            _acc(self.rho, key, ctx.scalar(v))
-        for (i, j), v in list(self.rho.items()):
-            w = self.rho.get((j, i), ctx.zero)
-            if w != -v:
+    __slots__ = ()
+
+    def __init__(self, alg, terms):
+        out = {}
+        for key, v in terms.items():
+            _acc(out, key, alg.ctx.scalar(v))
+        super().__init__(alg, out)
+        for (i, j), v in out.items():
+            if self.coeff((j, i)) != -v:
                 raise ValueError("classical r-matrix coefficients must be skew")
 
     @classmethod
@@ -226,24 +249,16 @@ class ClassicalR:
             _acc(rho, (j, i), -cv)
         return cls(alg, rho)
 
-    @property
-    def is_zero(self):
-        return not self.rho
-
     def to_text(self):
-        if not self.rho:
+        if not self.terms:
             return "0"
         parts = []
-        for (i, j) in sorted(self.rho):
+        for (i, j) in sorted(self.terms):
             if i < j:
-                c = self.rho[(i, j)]
+                c = self.terms[(i, j)]
                 parts.append("(%s)*(%s^%s)" % (c.to_text(),
                                                self.alg.names[i], self.alg.names[j]))
         return " + ".join(parts)
-
-    def __eq__(self, other):
-        return (isinstance(other, ClassicalR) and self.alg is other.alg
-                and self.rho == other.rho)
 
 
 def classical_r(twist, normalization="difference"):
@@ -282,7 +297,7 @@ def cybe_check(r):
     alg = r.alg
     ctx = alg.ctx
     acc = {}
-    items = list(r.rho.items())
+    items = list(r.terms.items())
     for (s1, s2), cs in items:
         for (t1, t2), ct in items:
             c = cs * ct
@@ -298,27 +313,10 @@ def cybe_check(r):
                                   for key, c in acc.items()})
 
 
-class Wedge3(LinearCombination):
+class Wedge3(_IndexTensor):
     """Element of Lambda^3 g with Scalar coefficients (CYBE residual carrier)."""
 
-    __slots__ = ("alg",)
-
-    def __init__(self, alg, terms):
-        self.alg = alg
-        self.terms = terms
-
-    @property
-    def ctx(self):
-        return self.alg.ctx
-
-    def _like(self, terms):
-        return Wedge3(self.alg, terms)
-
-    def _space(self):
-        return self.alg
-
-    def _zero_coeff(self):
-        return self.ctx.zero
+    __slots__ = ()
 
     def to_text(self):
         if not self.terms:
@@ -338,7 +336,7 @@ def schouten_square(r):
         if sign:
             _acc(acc, key, c * sign)
 
-    wedges = [((i, j), c) for (i, j), c in r.rho.items() if i < j]
+    wedges = [((i, j), c) for (i, j), c in r.terms.items() if i < j]
     for (x1, x2), cx in wedges:
         for (y1, y2), cy in wedges:
             c = cx * cy
@@ -361,7 +359,7 @@ def symplectic_leaf(r):
     n = alg.dim
     rows = []
     for i in range(n):
-        row = [r.rho.get((i, j), ctx.zero) for j in range(n)]
+        row = [r.coeff((i, j)) for j in range(n)]
         if any(not v.is_zero for v in row):
             rows.append(row)
     basis_rows = _rref(rows, ctx)

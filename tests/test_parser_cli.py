@@ -331,9 +331,12 @@ scale: i
 
 
 def test_cli_entrypoint_subprocess():
-    # the installed console script honours the exit-code contract
+    # the installed console script honours the exit-code contract; the child
+    # does not inherit pytest's pythonpath setting, so it gets src explicitly
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     proc = subprocess.run([sys.executable, "-m", "twistcalc.cli",
                            "verify-hopf", "--algebra", "kz2"],
+                          env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
